@@ -21,7 +21,7 @@ fn bench_engine_throughput(c: &mut Criterion) {
     });
     for shards in [1usize, 2, 4] {
         g.bench_function(BenchmarkId::new("engine", format!("{shards}_shards")), |b| {
-            b.iter(|| black_box(harness.time_engine(shards, cores.min(4))))
+            b.iter(|| black_box(harness.time_engine(shards, cores.min(4), None)))
         });
     }
     g.finish();

@@ -19,35 +19,26 @@
 //! 16-URL smoke corpus measures partition skew, not scaling; 64 URLs
 //! keeps the skew under ~12%.
 //!
-//! `--baseline FILE` arms a regression gate against a committed report:
-//! the run fails (exit 1) if the fused speedup-vs-serial ratio drops
-//! more than 20% below the baseline's for any thread count both reports
-//! cover. The ratio is compared — not raw meas/s — because CI machines
-//! differ; the serial pass timed in the same process is the
-//! machine-speed control. Skipped gates emit `::warning::` annotations,
-//! and `--require-gate` turns a skip into a hard failure.
-//!
-//! `--update-baseline` refreshes the committed baseline without arming
-//! the gate (the run *is* the new reference).
-//!
-//! `--assert-scaling` fails the run (exit 1) unless scaling efficiency
-//! at the highest thread count reaches `--min-efficiency` (default 0.7×
-//! linear). Basis picked per run: **wall-clock** when the process sees
-//! at least that many cores, otherwise the core-count-independent
-//! **busy-time model** (`C_1 / (N × C_N)` over per-worker busy
-//! attribution), loudly annotated — a serialized runner fails
-//! everywhere, including 1-core runners. The sweep must include a
-//! 1-thread row: efficiency is relative to it.
+//! `--baseline`, `--require-gate`, `--update-baseline` and
+//! `--assert-scaling` are the shared gates of [`churnlab_bench::gate`].
+//! The gated ratio is the fused speedup-vs-serial (the serial pass timed
+//! in the same process is the machine-speed control), and the busy
+//! model's critical path is the slowest generator worker.
 
+use churnlab_bench::argv::{self, unknown, Argv};
 use churnlab_bench::campaignbench::{run_campaign_sweep, CampaignHarness, CampaignReport};
+use churnlab_bench::gate::{self, Axis, Gate, DEFAULT_MIN_EFFICIENCY};
 use churnlab_bench::{Bench, Scale};
 
-/// Fraction of the baseline speedup the new run must retain.
-const REGRESSION_FLOOR: f64 = 0.8;
-
-/// Default `--min-efficiency`: the ISSUE-10 deliverable is ≥0.7× linear
-/// scaling at the top thread count.
-const DEFAULT_MIN_EFFICIENCY: f64 = 0.7;
+/// The thread sweep, as gate messages name it.
+const THREADS: Axis = Axis {
+    noun: "thread",
+    flag: "--threads",
+    workers: "generator threads",
+    subject: "the parallel runner",
+    label: |t| format!("campaign/{t}t"),
+    missing: |t| format!("{t} thread(s) (busy attribution missing?)"),
+};
 
 struct Args {
     scale: Scale,
@@ -79,53 +70,28 @@ fn parse_args() -> Result<Args, String> {
         assert_scaling: false,
         min_efficiency: DEFAULT_MIN_EFFICIENCY,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
+    let mut argv = Argv::from_env();
+    while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--scale" => {
-                let v = it.next().ok_or("--scale needs a value")?;
-                args.scale = Scale::parse(&v).ok_or(format!("bad scale `{v}`"))?;
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                args.seed = v.parse().map_err(|_| format!("bad seed `{v}`"))?;
-            }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a comma-separated list")?;
-                args.threads = v
-                    .split(',')
-                    .map(|s| {
-                        s.trim().parse::<usize>().map_err(|_| format!("bad thread count `{s}`"))
-                    })
-                    .collect::<Result<_, _>>()?;
-                if args.threads.is_empty() || args.threads.contains(&0) {
-                    return Err("--threads needs positive counts".into());
-                }
-            }
+            "--scale" => args.scale = argv.value("scale")?,
+            "--seed" => args.seed = argv.value("seed")?,
+            "--threads" => args.threads = argv.counts("thread count")?,
             "--shards" => {
-                let v = it.next().ok_or("--shards needs a value")?;
-                args.shards = v.parse().map_err(|_| format!("bad shard count `{v}`"))?;
+                args.shards = argv.value("shard count")?;
                 if args.shards == 0 {
                     return Err("--shards must be positive".into());
                 }
             }
-            "--repeats" => {
-                let v = it.next().ok_or("--repeats needs a value")?;
-                args.repeats = v.parse().map_err(|_| format!("bad repeat count `{v}`"))?;
-            }
-            "--urls" => {
-                let v = it.next().ok_or("--urls needs a value (0 = scale preset)")?;
-                args.urls = v.parse().map_err(|_| format!("bad url count `{v}`"))?;
-            }
+            "--repeats" => args.repeats = argv.value("repeat count")?,
+            "--urls" => args.urls = argv.value("url count")?,
             "--min-efficiency" => {
-                let v = it.next().ok_or("--min-efficiency needs a value in (0, 1]")?;
-                args.min_efficiency = v.parse().map_err(|_| format!("bad efficiency `{v}`"))?;
+                args.min_efficiency = argv.value("efficiency")?;
                 if !(args.min_efficiency > 0.0 && args.min_efficiency <= 1.0) {
-                    return Err(format!("--min-efficiency {v} outside (0, 1]"));
+                    return Err(format!("--min-efficiency {} outside (0, 1]", args.min_efficiency));
                 }
             }
-            "--out" => args.out = Some(it.next().ok_or("--out needs a path")?),
-            "--baseline" => args.baseline = Some(it.next().ok_or("--baseline needs a path")?),
+            "--out" => args.out = Some(argv.value("path")?),
+            "--baseline" => args.baseline = Some(argv.value("path")?),
             "--require-gate" => args.require_gate = true,
             "--update-baseline" => args.update_baseline = true,
             "--assert-scaling" => args.assert_scaling = true,
@@ -138,132 +104,20 @@ fn parse_args() -> Result<Args, String> {
                         .into(),
                 )
             }
-            other => return Err(format!("unknown argument `{other}` (try --help)")),
+            other => return Err(unknown(other)),
         }
     }
     if args.update_baseline {
-        if args.require_gate {
-            return Err("--update-baseline writes a fresh baseline; it cannot also \
-                 --require-gate against the file it replaces"
-                .into());
-        }
-        if args.baseline.is_some() && args.out.is_some() && args.baseline != args.out {
-            return Err("--update-baseline with both --baseline and --out pointing at \
-                 different files is ambiguous; name the target once"
-                .into());
-        }
-        let target = args
-            .baseline
-            .clone()
-            .or_else(|| args.out.clone())
-            .unwrap_or_else(|| "BENCH_campaign.json".to_string());
-        args.out = Some(target);
-        args.baseline = None; // the run IS the baseline — nothing to gate on
+        let default = "BENCH_campaign.json";
+        gate::update_baseline(args.require_gate, &mut args.baseline, &mut args.out, default)?;
     }
     Ok(args)
 }
 
-/// A loud, annotation-grade warning: plain on a terminal, a surfaced
-/// `::warning::` annotation on a GitHub runner.
-fn warn_loudly(msg: &str) {
-    if std::env::var_os("GITHUB_ACTIONS").is_some() {
-        println!("::warning title=campaign_bench gate::{msg}");
-    }
-    eprintln!("campaign_bench: WARNING — {msg}");
-}
-
-/// Compare the run against a committed baseline: every thread count
-/// covered by both must retain at least [`REGRESSION_FLOOR`] of the
-/// baseline's speedup-vs-serial ratio.
-fn check_regression(report: &CampaignReport, baseline: &CampaignReport) -> Vec<String> {
-    let mut failures = Vec::new();
-    for base_row in &baseline.rows {
-        let Some(row) = report.rows.iter().find(|r| r.threads == base_row.threads) else {
-            continue;
-        };
-        let floor = base_row.speedup_vs_serial * REGRESSION_FLOOR;
-        if row.speedup_vs_serial < floor {
-            failures.push(format!(
-                "campaign/{}t speedup {:.2}x fell more than 20% below baseline {:.2}x (floor {:.2}x)",
-                row.threads, row.speedup_vs_serial, base_row.speedup_vs_serial, floor,
-            ));
-        }
-    }
-    failures
-}
-
-/// `--assert-scaling`: efficiency at the highest thread count must reach
-/// `min_efficiency`, on whichever basis the machine can honestly
-/// measure. Exits the process on failure.
-fn assert_scaling(report: &CampaignReport, min_efficiency: f64) {
-    let max = report.rows.iter().max_by_key(|r| r.threads).expect("at least one thread count");
-    if max.threads == 1 {
-        eprintln!("campaign_bench: FAIL — --assert-scaling needs a thread count above 1");
-        std::process::exit(1);
-    }
-    if !report.rows.iter().any(|r| r.threads == 1) {
-        eprintln!(
-            "campaign_bench: FAIL — --assert-scaling needs a 1-thread row in --threads \
-             (efficiency is measured relative to it)"
-        );
-        std::process::exit(1);
-    }
-    let wallclock_honest = report.available_cores >= max.threads;
-    let (basis, efficiency) = if wallclock_honest {
-        ("wall-clock", max.wallclock_efficiency)
-    } else {
-        warn_loudly(&format!(
-            "scaling asserted on the busy-time model: {} core(s) cannot wall-clock \
-             {} generator threads (use an {}-core runner for the real curve)",
-            report.available_cores, max.threads, max.threads,
-        ));
-        if !report.busy_cpu_attributed {
-            warn_loudly(
-                "busy attribution fell back to wall intervals (no thread CPU clock); \
-                 the model basis folds in scheduler noise",
-            );
-        }
-        ("busy-time model", max.model_efficiency)
-    };
-    let Some(efficiency) = efficiency else {
-        eprintln!(
-            "campaign_bench: FAIL — no {basis} efficiency for {} thread(s) (busy \
-             attribution missing?)",
-            max.threads,
-        );
-        std::process::exit(1);
-    };
-    if efficiency < min_efficiency {
-        eprintln!(
-            "campaign_bench: FAIL — {basis} scaling efficiency {:.2} at {} threads is below \
-             the {:.2} floor (flat curve: the parallel runner is serialized somewhere)",
-            efficiency, max.threads, min_efficiency,
-        );
-        std::process::exit(1);
-    }
-    eprintln!(
-        "campaign_bench: scaling ok — {basis} efficiency {:.2} at {} threads \
-         (floor {:.2}, {} core(s))",
-        efficiency, max.threads, min_efficiency, report.available_cores,
-    );
-}
-
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-
-    // Read the baseline up front so `--baseline` and `--out` may point at
-    // the same committed file.
-    let baseline: Option<CampaignReport> = args.baseline.as_ref().map(|path| {
-        let text =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
-        serde_json::from_str(&text).unwrap_or_else(|e| panic!("parse baseline {path}: {e}"))
-    });
+    let args = argv::or_exit(parse_args());
+    let gate = Gate::new("campaign_bench", None);
+    let baseline: Option<CampaignReport> = gate::load_baseline(args.baseline.as_deref());
 
     let bench = Bench::assemble(args.scale, args.seed);
     let harness = CampaignHarness::assemble(&bench, args.urls);
@@ -309,72 +163,34 @@ fn main() {
     }
 
     if args.assert_scaling {
-        assert_scaling(&report, args.min_efficiency);
-    }
-
-    let json = serde_json::to_string(&report).expect("report serializes");
-    match &args.out {
-        Some(path) => {
-            std::fs::write(path, format!("{json}\n")).expect("write report");
-            if args.update_baseline {
-                eprintln!(
-                    "campaign_bench: refreshed baseline {path} (gate not armed — this run \
-                     is the new reference)"
-                );
-            } else {
-                eprintln!("campaign_bench: wrote {path}");
-            }
-        }
-        None => println!("{json}"),
-    }
-
-    // The gate arms only when the baseline is comparable (same scale,
-    // corpus, and core count). Every skip is a loud annotation;
-    // `--require-gate` turns it into a hard failure.
-    let mut gate_armed = false;
-    if let Some(baseline) = &baseline {
-        if baseline.scale != report.scale || baseline.urls != report.urls {
-            warn_loudly(&format!(
-                "baseline workload `{}/{} urls` != run `{}/{} urls`; regression gate NOT armed",
-                baseline.scale, baseline.urls, report.scale, report.urls
-            ));
-        } else if baseline.available_cores != report.available_cores {
-            warn_loudly(&format!(
-                "baseline has {} core(s), this run {}; regression gate NOT armed \
-                 (pin the run to match, e.g. `taskset -c 0`, or refresh the baseline)",
-                baseline.available_cores, report.available_cores
-            ));
-        } else {
-            let compared = baseline
-                .rows
-                .iter()
-                .filter(|b| report.rows.iter().any(|r| r.threads == b.threads))
-                .count();
-            gate_armed = compared > 0;
-            let failures = check_regression(&report, baseline);
-            for msg in &failures {
-                eprintln!("campaign_bench: FAIL — {msg}");
-            }
-            if !failures.is_empty() {
-                std::process::exit(1);
-            }
-            if gate_armed {
-                eprintln!(
-                    "campaign_bench: gate armed — within 20% of baseline speedups \
-                     ({compared} thread count(s) compared)",
-                );
-            } else {
-                warn_loudly(
-                    "baseline shares no thread counts with this run; regression gate NOT armed",
-                );
-            }
-        }
-    }
-    if args.require_gate && !gate_armed {
-        eprintln!(
-            "campaign_bench: FAIL — --require-gate set but no regression gate armed{}",
-            if baseline.is_none() { " (no --baseline given)" } else { "" },
+        gate.assert_scaling(
+            &THREADS,
+            &report.points(),
+            report.available_cores,
+            args.min_efficiency,
+            !report.busy_cpu_attributed,
         );
-        std::process::exit(1);
     }
+
+    gate.write_report(args.out.as_deref(), &report, args.update_baseline);
+
+    let armed = baseline.as_ref().is_some_and(|baseline| {
+        let mismatch = (baseline.scale != report.scale || baseline.urls != report.urls).then(|| {
+            (
+                "baseline/run workload mismatch",
+                format!(
+                    "baseline workload `{}/{} urls` != run `{}/{} urls`; regression gate NOT armed",
+                    baseline.scale, baseline.urls, report.scale, report.urls
+                ),
+            )
+        });
+        gate.regression(
+            &THREADS,
+            mismatch,
+            (baseline.available_cores, report.available_cores),
+            &report.points(),
+            &baseline.points(),
+        )
+    });
+    gate.require(args.require_gate, armed, baseline.is_some());
 }

@@ -13,31 +13,11 @@
 //! shard — the supply/demand-matched configuration the scaling gate
 //! reasons about. A fixed positive count pins it instead.
 //!
-//! `--baseline FILE` turns the run into a regression gate against a
-//! committed report: the run fails (exit 1) if the engine's
-//! speedup-vs-pipeline ratio drops more than 20% below the baseline's for
-//! any shard count both reports cover. The *ratio* is compared — not raw
-//! measurements/sec — because CI machines differ; the pipeline timed in
-//! the same process is the machine-speed control. The baseline is read
-//! before `--out` is written, so both may name the same file. Any reason
-//! the gate does not arm is emitted as a `::warning::` GitHub annotation
-//! — a silently skipped gate is how the flat shard curve survived three
-//! PRs — and `--require-gate` turns a skipped gate into a hard failure.
-//!
-//! `--update-baseline` refreshes the committed baseline in one command:
-//! it writes the run to `BENCH_engine.json` (or wherever `--baseline` /
-//! `--out` point) **without** arming the regression gate — the run *is*
-//! the new baseline, so comparing it to the old one would be
-//! meaningless.
-//!
-//! `--assert-scaling` fails the run (exit 1) unless scaling efficiency
-//! at the highest shard count reaches `--min-efficiency` (default 0.7×
-//! linear). The basis is picked per run: **wall-clock** efficiency when
-//! the process sees at least as many cores as the highest shard count,
-//! otherwise the core-count-independent **busy-time model** (critical
-//! path = slowest shard + merge), loudly annotated — so a flat curve
-//! fails everywhere, including runners with fewer cores than shards.
-//! The sweep must include a 1-shard row: efficiency is relative to it.
+//! `--baseline`, `--require-gate`, `--update-baseline` and
+//! `--assert-scaling` are the shared gates of [`churnlab_bench::gate`].
+//! The gated ratio is speedup-vs-pipeline (the pipeline timed in the
+//! same process is the machine-speed control), and the busy model's
+//! critical path is the slowest shard plus the merge.
 //!
 //! `--assert-overhead` is a dedicated mode: the same workload through a
 //! *stripped* engine (no metrics registry — zero atomic ops) and an
@@ -56,23 +36,28 @@
 //! engine events plus this binary's `gate_armed`/`gate_skipped`
 //! outcomes.
 
+use churnlab_bench::argv::{self, unknown, Argv};
 use churnlab_bench::enginebench::{
     run_overhead, run_throughput, ThroughputHarness, ThroughputReport,
 };
+use churnlab_bench::gate::{self, Axis, Gate, DEFAULT_MIN_EFFICIENCY};
 use churnlab_bench::obsbench::{BenchObs, MetricsWriter};
 use churnlab_bench::{Bench, Scale};
 use churnlab_obs::Journal;
 
-/// Fraction of the baseline speedup the new run must retain.
-const REGRESSION_FLOOR: f64 = 0.8;
-
-/// Default `--min-efficiency`: the ISSUE-6 deliverable is ≥0.7× linear
-/// scaling at 8 shards.
-const DEFAULT_MIN_EFFICIENCY: f64 = 0.7;
-
-/// Default `--max-overhead`: the ISSUE-7 deliverable is instrumentation
-/// costing ≤2% of stripped throughput.
+/// Default `--max-overhead`: instrumentation may cost at most 2% of
+/// stripped throughput.
 const DEFAULT_MAX_OVERHEAD: f64 = 0.02;
+
+/// The shard sweep, as gate messages name it.
+const SHARDS: Axis = Axis {
+    noun: "shard",
+    flag: "--shards",
+    workers: "shards",
+    subject: "the engine",
+    label: |n| format!("engine/{n}"),
+    missing: |n| format!("engine/{n} (busy-time attribution missing from the build?)"),
+};
 
 struct Args {
     scale: Scale,
@@ -110,58 +95,30 @@ fn parse_args() -> Result<Args, String> {
         metrics_out: None,
         journal_out: None,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
+    let mut argv = Argv::from_env();
+    while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--scale" => {
-                let v = it.next().ok_or("--scale needs a value")?;
-                args.scale = Scale::parse(&v).ok_or(format!("bad scale `{v}`"))?;
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                args.seed = v.parse().map_err(|_| format!("bad seed `{v}`"))?;
-            }
-            "--shards" => {
-                let v = it.next().ok_or("--shards needs a comma-separated list")?;
-                args.shards = v
-                    .split(',')
-                    .map(|s| s.trim().parse::<usize>().map_err(|_| format!("bad shard count `{s}`")))
-                    .collect::<Result<_, _>>()?;
-                if args.shards.is_empty() || args.shards.contains(&0) {
-                    return Err("--shards needs positive counts".into());
-                }
-            }
-            "--feeders" => {
-                let v = it.next().ok_or("--feeders needs a value (0 = match shards)")?;
-                args.feeders = v.parse().map_err(|_| format!("bad feeder count `{v}`"))?;
-            }
-            "--repeats" => {
-                let v = it.next().ok_or("--repeats needs a value")?;
-                args.repeats = v.parse().map_err(|_| format!("bad repeat count `{v}`"))?;
-            }
+            "--scale" => args.scale = argv.value("scale")?,
+            "--seed" => args.seed = argv.value("seed")?,
+            "--shards" => args.shards = argv.counts("shard count")?,
+            "--feeders" => args.feeders = argv.value("feeder count")?,
+            "--repeats" => args.repeats = argv.value("repeat count")?,
             "--min-efficiency" => {
-                let v = it.next().ok_or("--min-efficiency needs a value in (0, 1]")?;
-                args.min_efficiency =
-                    v.parse().map_err(|_| format!("bad efficiency `{v}`"))?;
+                args.min_efficiency = argv.value("efficiency")?;
                 if !(args.min_efficiency > 0.0 && args.min_efficiency <= 1.0) {
-                    return Err(format!("--min-efficiency {v} outside (0, 1]"));
+                    return Err(format!("--min-efficiency {} outside (0, 1]", args.min_efficiency));
                 }
             }
             "--max-overhead" => {
-                let v = it.next().ok_or("--max-overhead needs a fraction (e.g. 0.02)")?;
-                args.max_overhead = v.parse().map_err(|_| format!("bad overhead `{v}`"))?;
+                args.max_overhead = argv.value("overhead")?;
                 if args.max_overhead <= 0.0 {
-                    return Err(format!("--max-overhead {v} must be positive"));
+                    return Err(format!("--max-overhead {} must be positive", args.max_overhead));
                 }
             }
-            "--out" => args.out = Some(it.next().ok_or("--out needs a path")?),
-            "--baseline" => args.baseline = Some(it.next().ok_or("--baseline needs a path")?),
-            "--metrics-out" => {
-                args.metrics_out = Some(it.next().ok_or("--metrics-out needs a path")?)
-            }
-            "--journal-out" => {
-                args.journal_out = Some(it.next().ok_or("--journal-out needs a path")?)
-            }
+            "--out" => args.out = Some(argv.value("path")?),
+            "--baseline" => args.baseline = Some(argv.value("path")?),
+            "--metrics-out" => args.metrics_out = Some(argv.value("path")?),
+            "--journal-out" => args.journal_out = Some(argv.value("path")?),
             "--require-gate" => args.require_gate = true,
             "--update-baseline" => args.update_baseline = true,
             "--assert-scaling" => args.assert_scaling = true,
@@ -177,29 +134,12 @@ fn parse_args() -> Result<Args, String> {
                         .into(),
                 )
             }
-            other => return Err(format!("unknown argument `{other}` (try --help)")),
+            other => return Err(unknown(other)),
         }
     }
     if args.update_baseline {
-        if args.require_gate {
-            return Err("--update-baseline writes a fresh baseline; it cannot also \
-                 --require-gate against the file it replaces"
-                .into());
-        }
-        if args.baseline.is_some() && args.out.is_some() && args.baseline != args.out {
-            return Err("--update-baseline with both --baseline and --out pointing at \
-                 different files is ambiguous; name the target once"
-                .into());
-        }
-        // One command refreshes the committed file: default both paths to
-        // the repo baseline, honouring an explicit override.
-        let target = args
-            .baseline
-            .clone()
-            .or_else(|| args.out.clone())
-            .unwrap_or_else(|| "BENCH_engine.json".to_string());
-        args.out = Some(target);
-        args.baseline = None; // the run IS the baseline — nothing to gate on
+        let default = "BENCH_engine.json";
+        gate::update_baseline(args.require_gate, &mut args.baseline, &mut args.out, default)?;
     }
     if args.assert_overhead
         && (args.baseline.is_some() || args.assert_scaling || args.update_baseline)
@@ -211,134 +151,9 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn scale_label(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Smoke => "smoke",
-        Scale::Small => "small",
-        Scale::Paper => "paper",
-    }
-}
-
-/// A loud, annotation-grade warning: plain on a terminal, a surfaced
-/// `::warning::` annotation on a GitHub runner. Skipped gates must be
-/// impossible to miss — a silently skipped gate is how the flat shard
-/// curve went unnoticed for three PRs.
-fn warn_loudly(msg: &str) {
-    if std::env::var_os("GITHUB_ACTIONS").is_some() {
-        println!("::warning title=engine_bench gate::{msg}");
-    }
-    eprintln!("engine_bench: WARNING — {msg}");
-}
-
-/// Gate outcomes mirrored into the run's event journal (when one is
-/// attached), so a scraped journal shows whether the run was actually
-/// gated — the machine-readable counterpart of [`warn_loudly`].
-struct GateJournal<'a>(Option<&'a Journal>);
-
-impl GateJournal<'_> {
-    fn armed(&self, gate: &str, detail: &str) {
-        if let Some(j) = self.0 {
-            j.emit_tagged("gate_armed", &[], &[("gate", gate), ("detail", detail)]);
-            j.flush(); // gates may exit the process right after
-        }
-    }
-
-    fn skipped(&self, gate: &str, reason: &str) {
-        if let Some(j) = self.0 {
-            j.emit_tagged("gate_skipped", &[], &[("gate", gate), ("reason", reason)]);
-            j.flush();
-        }
-    }
-}
-
-/// Compare the run against a committed baseline report: every shard count
-/// covered by both must retain at least [`REGRESSION_FLOOR`] of the
-/// baseline's speedup-vs-pipeline ratio. Returns the failure messages.
-fn check_regression(report: &ThroughputReport, baseline: &ThroughputReport) -> Vec<String> {
-    let mut failures = Vec::new();
-    for base_row in &baseline.engine {
-        let Some(row) = report.engine.iter().find(|r| r.shards == base_row.shards) else {
-            continue;
-        };
-        let floor = base_row.speedup_vs_pipeline * REGRESSION_FLOOR;
-        if row.speedup_vs_pipeline < floor {
-            failures.push(format!(
-                "engine/{} speedup {:.2}x fell more than 20% below baseline {:.2}x (floor {:.2}x)",
-                row.shards, row.speedup_vs_pipeline, base_row.speedup_vs_pipeline, floor,
-            ));
-        }
-    }
-    failures
-}
-
-/// `--assert-scaling`: efficiency at the highest shard count must reach
-/// `min_efficiency`, on whichever basis the machine can honestly
-/// measure. Exits the process on failure.
-fn assert_scaling(report: &ThroughputReport, min_efficiency: f64, gates: &GateJournal<'_>) {
-    let max = report.engine.iter().max_by_key(|r| r.shards).expect("at least one shard count");
-    if max.shards == 1 {
-        eprintln!("engine_bench: FAIL — --assert-scaling needs a shard count above 1");
-        std::process::exit(1);
-    }
-    if !report.engine.iter().any(|r| r.shards == 1) {
-        eprintln!(
-            "engine_bench: FAIL — --assert-scaling needs a 1-shard row in --shards \
-             (efficiency is measured relative to it)"
-        );
-        std::process::exit(1);
-    }
-    let wallclock_honest = report.available_cores >= max.shards;
-    let (basis, efficiency) = if wallclock_honest {
-        ("wall-clock", max.wallclock_efficiency)
-    } else {
-        warn_loudly(&format!(
-            "scaling asserted on the busy-time model: {} core(s) cannot wall-clock \
-             {} shards (use an {}-core runner for the real curve)",
-            report.available_cores, max.shards, max.shards,
-        ));
-        ("busy-time model", max.model_efficiency)
-    };
-    let Some(efficiency) = efficiency else {
-        eprintln!(
-            "engine_bench: FAIL — no {basis} efficiency for engine/{} (busy-time \
-             attribution missing from the build?)",
-            max.shards,
-        );
-        std::process::exit(1);
-    };
-    if efficiency < min_efficiency {
-        gates.armed("scaling", &format!("fail — {basis} {efficiency:.2} < {min_efficiency:.2}"));
-        eprintln!(
-            "engine_bench: FAIL — {basis} scaling efficiency {:.2} at {} shards is below \
-             the {:.2} floor (flat curve: the engine is serialized somewhere)",
-            efficiency, max.shards, min_efficiency,
-        );
-        std::process::exit(1);
-    }
-    gates.armed("scaling", &format!("pass — {basis} {efficiency:.2} >= {min_efficiency:.2}"));
-    eprintln!(
-        "engine_bench: scaling ok — {basis} efficiency {:.2} at {} shards \
-         (floor {:.2}, {} core(s))",
-        efficiency, max.shards, min_efficiency, report.available_cores,
-    );
-}
-
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-
-    // Read the baseline up front so `--baseline` and `--out` may point at
-    // the same committed file.
-    let baseline: Option<ThroughputReport> = args.baseline.as_ref().map(|path| {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
-        serde_json::from_str(&text).unwrap_or_else(|e| panic!("parse baseline {path}: {e}"))
-    });
+    let args = argv::or_exit(parse_args());
+    let baseline: Option<ThroughputReport> = gate::load_baseline(args.baseline.as_deref());
 
     // Observability sink: either output flag makes the run instrumented
     // (shared registry + optional journal across every engine built).
@@ -353,14 +168,25 @@ fn main() {
         .as_ref()
         .zip(sink.as_ref())
         .map(|(path, s)| MetricsWriter::spawn(s.registry.clone(), path));
-    let gates = GateJournal(journal.as_ref());
+    let gate = Gate::new("engine_bench", journal.as_ref());
+    // Once the engines are done: freeze the metrics file at the terminal
+    // scrape and flush the run's journal events before gating begins
+    // (gate events flush themselves).
+    let finish_obs = || {
+        if let Some(w) = metrics_writer {
+            w.finish();
+        }
+        if let Some(j) = &journal {
+            j.flush();
+        }
+    };
 
     let bench = Bench::assemble(args.scale, args.seed);
     let harness = ThroughputHarness::assemble(&bench);
     eprintln!(
         "engine_bench: {} measurements at scale {}, shard counts {:?}, feeders {}, best of {}",
         harness.measurements.len(),
-        scale_label(args.scale),
+        args.scale.label(),
         args.shards,
         if args.feeders == 0 { "match-shards".to_string() } else { args.feeders.to_string() },
         args.repeats,
@@ -372,7 +198,7 @@ fn main() {
         let shards = *args.shards.iter().max().expect("shards validated non-empty");
         let report = run_overhead(
             &harness,
-            scale_label(args.scale),
+            args.scale.label(),
             shards,
             args.feeders,
             args.repeats,
@@ -393,14 +219,7 @@ fn main() {
             report.repeats,
             report.passes,
         );
-        let json = serde_json::to_string(&report).expect("report serializes");
-        match &args.out {
-            Some(path) => {
-                std::fs::write(path, format!("{json}\n")).expect("write report");
-                eprintln!("engine_bench: wrote {path}");
-            }
-            None => println!("{json}"),
-        }
+        gate.write_report(args.out.as_deref(), &report, false);
         // Gate on the added on-CPU work when the busy clock is
         // CPU-attributed: it measures exactly what the instrumentation
         // costs, where wall clock on a shared runner also measures every
@@ -419,7 +238,7 @@ fn main() {
         // overhead, not a speedup claim.
         let effective = basis.max(0.0);
         let pass = effective <= args.max_overhead;
-        gates.armed(
+        gate.armed(
             "overhead",
             &format!(
                 "{} — {:.4} vs max {:.4} ({})",
@@ -429,19 +248,13 @@ fn main() {
                 if report.cpu_attributed { "on-CPU basis" } else { "wall basis" },
             ),
         );
-        if let Some(w) = metrics_writer {
-            w.finish();
-        }
-        if let Some(j) = &journal {
-            j.flush();
-        }
+        finish_obs();
         if !pass {
-            eprintln!(
-                "engine_bench: FAIL — instrumentation overhead {:.2}% exceeds the {:.2}% budget",
+            gate.fail(&format!(
+                "instrumentation overhead {:.2}% exceeds the {:.2}% budget",
                 effective * 100.0,
                 args.max_overhead * 100.0,
-            );
-            std::process::exit(1);
+            ));
         }
         eprintln!(
             "engine_bench: overhead ok — {:.2}% within the {:.2}% budget",
@@ -453,7 +266,7 @@ fn main() {
 
     let report = run_throughput(
         &harness,
-        scale_label(args.scale),
+        args.scale.label(),
         args.seed,
         &args.shards,
         args.feeders,
@@ -461,15 +274,7 @@ fn main() {
         sink.as_ref(),
     );
 
-    // The engines are done: freeze the metrics file at the terminal
-    // scrape and flush the run's journal events before gating begins
-    // (gate events flush themselves).
-    if let Some(w) = metrics_writer {
-        w.finish();
-    }
-    if let Some(j) = &journal {
-        j.flush();
-    }
+    finish_obs();
 
     eprintln!(
         "pipeline: {:>10.0} meas/s ({:.3}s)",
@@ -499,81 +304,38 @@ fn main() {
     }
 
     if args.assert_scaling {
-        assert_scaling(&report, args.min_efficiency, &gates);
-    }
-
-    let json = serde_json::to_string(&report).expect("report serializes");
-    match &args.out {
-        Some(path) => {
-            std::fs::write(path, format!("{json}\n")).expect("write report");
-            if args.update_baseline {
-                eprintln!("engine_bench: refreshed baseline {path} (gate not armed — this run is the new reference)");
-            } else {
-                eprintln!("engine_bench: wrote {path}");
-            }
-        }
-        None => println!("{json}"),
-    }
-
-    // The gate "arms" only when the baseline is comparable (same scale
-    // and core count). Every skip is a loud annotation, and
-    // `--require-gate` turns it into a hard failure: a CI step that
-    // believes it is regression-gated must find out when the gate is
-    // actually vacuous.
-    let mut gate_armed = false;
-    if let Some(baseline) = &baseline {
-        if baseline.scale != report.scale {
-            // Ratios aren't comparable across workload scales; skip the
-            // gate rather than fail a legitimate local run.
-            gates.skipped("regression", "baseline/run scale mismatch");
-            warn_loudly(&format!(
-                "baseline scale `{}` != run scale `{}`; regression gate NOT armed",
-                baseline.scale, report.scale
-            ));
-        } else if baseline.available_cores != report.available_cores {
-            gates.skipped("regression", "baseline/run core-count mismatch");
-            // The shard-count speedup ratio depends on how many cores the
-            // workers can spread over, not just machine speed — a 1-core
-            // baseline vs an 8-core runner (or vice versa) would make the
-            // gate vacuous or spuriously red. CI runs a pinned lane
-            // (taskset) against a 1-core baseline and an unpinned lane
-            // against the efficiency gate.
-            warn_loudly(&format!(
-                "baseline has {} core(s), this run {}; regression gate NOT armed \
-                 (pin the run to match, e.g. `taskset -c 0`, or refresh the baseline)",
-                baseline.available_cores, report.available_cores
-            ));
-        } else {
-            let compared = baseline
-                .engine
-                .iter()
-                .filter(|b| report.engine.iter().any(|r| r.shards == b.shards))
-                .count();
-            gate_armed = compared > 0;
-            let failures = check_regression(&report, baseline);
-            for msg in &failures {
-                eprintln!("engine_bench: FAIL — {msg}");
-            }
-            if !failures.is_empty() {
-                gates.armed("regression", &format!("fail — {} regression(s)", failures.len()));
-                std::process::exit(1);
-            }
-            if gate_armed {
-                gates.armed("regression", &format!("pass — {compared} shard count(s) compared"));
-                eprintln!(
-                    "engine_bench: gate armed — within 20% of baseline speedups ({compared} shard count(s) compared)",
-                );
-            } else {
-                gates.skipped("regression", "no shared shard counts with baseline");
-                warn_loudly("baseline shares no shard counts with this run; regression gate NOT armed");
-            }
-        }
-    }
-    if args.require_gate && !gate_armed {
-        eprintln!(
-            "engine_bench: FAIL — --require-gate set but no regression gate armed{}",
-            if baseline.is_none() { " (no --baseline given)" } else { "" },
+        gate.assert_scaling(
+            &SHARDS,
+            &report.points(),
+            report.available_cores,
+            args.min_efficiency,
+            false,
         );
-        std::process::exit(1);
     }
+
+    gate.write_report(args.out.as_deref(), &report, args.update_baseline);
+
+    // Ratios aren't comparable across workload scales; skip the gate
+    // rather than fail a legitimate local run. CI runs a pinned lane
+    // (taskset) against a 1-core baseline and an unpinned lane against
+    // the efficiency gate.
+    let armed = baseline.as_ref().is_some_and(|baseline| {
+        let mismatch = (baseline.scale != report.scale).then(|| {
+            (
+                "baseline/run scale mismatch",
+                format!(
+                    "baseline scale `{}` != run scale `{}`; regression gate NOT armed",
+                    baseline.scale, report.scale
+                ),
+            )
+        });
+        gate.regression(
+            &SHARDS,
+            mismatch,
+            (baseline.available_cores, report.available_cores),
+            &report.points(),
+            &baseline.points(),
+        )
+    });
+    gate.require(args.require_gate, armed, baseline.is_some());
 }

@@ -10,6 +10,7 @@
 //! Each subcommand prints the paper-style rows/series and (when `--out` is
 //! given) writes machine-readable JSON next to them.
 
+use churnlab_bench::argv::{self, unknown, Argv};
 use churnlab_bench::{Bench, Scale};
 use churnlab_bgp::Granularity;
 use churnlab_core::pipeline::{ChurnMode, PipelineResults};
@@ -27,42 +28,40 @@ struct Args {
     command: String,
 }
 
-fn parse_args() -> Args {
-    let mut scale = Scale::Small;
-    let mut seed = 42u64;
-    let mut out = None;
-    let mut command = String::from("all");
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--scale" => {
-                i += 1;
-                scale = Scale::parse(argv.get(i).map(|s| s.as_str()).unwrap_or(""))
-                    .unwrap_or_else(|| die("bad --scale (smoke|small|paper)"));
-            }
-            "--seed" => {
-                i += 1;
-                seed = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("bad --seed"));
-            }
-            "--out" => {
-                i += 1;
-                out = Some(argv.get(i).cloned().unwrap_or_else(|| die("bad --out")));
-            }
-            cmd if !cmd.starts_with('-') => command = cmd.to_string(),
-            other => die(&format!("unknown flag {other}")),
-        }
-        i += 1;
-    }
-    Args { scale, seed, out, command }
-}
+/// One table or figure: print it, and write its JSON under `--out`.
+type Experiment = fn(&Run, &Option<String>);
 
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
+/// The subcommands, in the order `all` runs them.
+const EXPERIMENTS: [(&str, Experiment); 10] = [
+    ("table1", table1),
+    ("fig1a", fig1a),
+    ("fig1b", fig1b),
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("table2", table2),
+    ("table3", table3),
+    ("fig5", fig5),
+    ("validate", validation),
+];
+
+fn parse_args() -> Result<Args, String> {
+    let mut args =
+        Args { scale: Scale::Small, seed: 42, out: None, command: String::from("all") };
+    let mut argv = Argv::from_env();
+    while let Some(arg) = argv.next() {
+        match arg.as_str() {
+            "--scale" => args.scale = argv.value("scale")?,
+            "--seed" => args.seed = argv.value("seed")?,
+            "--out" => args.out = Some(argv.value("path")?),
+            cmd if cmd == "all" || EXPERIMENTS.iter().any(|(name, _)| *name == cmd) => {
+                args.command = arg
+            }
+            cmd if !cmd.starts_with('-') => return Err(format!("unknown command {cmd}")),
+            other => return Err(unknown(other)),
+        }
+    }
+    Ok(args)
 }
 
 fn write_json(out: &Option<String>, name: &str, value: &serde_json::Value) {
@@ -77,6 +76,7 @@ fn write_json(out: &Option<String>, name: &str, value: &serde_json::Value) {
 }
 
 struct Run {
+    seed: u64,
     bench: Bench,
     dataset: DatasetStats,
     results: PipelineResults,
@@ -100,7 +100,7 @@ fn run_normal(args: &Args) -> Run {
         dataset.measurements,
         t0.elapsed().as_secs_f64()
     );
-    Run { bench, dataset, results }
+    Run { seed: args.seed, bench, dataset, results }
 }
 
 fn table1(run: &Run, out: &Option<String>) {
@@ -198,7 +198,7 @@ fn fig3(run: &Run, out: &Option<String>) {
     write_json(out, "fig3", &json!({"rows": rows, "by_dest_class": by_class.iter().map(|(c, f)| json!({"class": c.label(), "churn": f})).collect::<Vec<_>>()}));
 }
 
-fn fig4(args: &Args, run: &Run, out: &Option<String>) {
+fn fig4(run: &Run, out: &Option<String>) {
     println!("== Figure 4: #solutions without path churn (first-path-only ablation) ==");
     let mut cfg = run.bench.pipeline_cfg();
     cfg.churn_mode = ChurnMode::FirstPathOnly;
@@ -220,7 +220,7 @@ fn fig4(args: &Args, run: &Run, out: &Option<String>) {
         overall[5] * 100.0,
         with_churn[5] * 100.0
     );
-    write_json(out, "fig4", &json!({"rows": rows, "overall_5plus": overall[5], "with_churn_5plus": with_churn[5], "seed": args.seed}));
+    write_json(out, "fig4", &json!({"rows": rows, "overall_5plus": overall[5], "with_churn_5plus": with_churn[5], "seed": run.seed}));
 }
 
 fn table2(run: &Run, out: &Option<String>) {
@@ -282,42 +282,15 @@ fn validation(run: &Run, out: &Option<String>) {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = argv::or_exit(parse_args());
     let run = run_normal(&args);
-    let out = args.out.clone();
     println!();
-    match args.command.as_str() {
-        "table1" => table1(&run, &out),
-        "fig1a" => fig1a(&run, &out),
-        "fig1b" => fig1b(&run, &out),
-        "fig2" => fig2(&run, &out),
-        "fig3" => fig3(&run, &out),
-        "fig4" => fig4(&args, &run, &out),
-        "table2" => table2(&run, &out),
-        "table3" => table3(&run, &out),
-        "fig5" => fig5(&run, &out),
-        "validate" => validation(&run, &out),
-        "all" => {
-            table1(&run, &out);
+    let selected =
+        EXPERIMENTS.iter().filter(|(name, _)| args.command == "all" || *name == args.command);
+    for (i, (_, experiment)) in selected.enumerate() {
+        if i > 0 {
             println!();
-            fig1a(&run, &out);
-            println!();
-            fig1b(&run, &out);
-            println!();
-            fig2(&run, &out);
-            println!();
-            fig3(&run, &out);
-            println!();
-            fig4(&args, &run, &out);
-            println!();
-            table2(&run, &out);
-            println!();
-            table3(&run, &out);
-            println!();
-            fig5(&run, &out);
-            println!();
-            validation(&run, &out);
         }
-        other => die(&format!("unknown command {other}")),
+        experiment(&run, &args.out);
     }
 }

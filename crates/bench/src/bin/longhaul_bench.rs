@@ -21,6 +21,8 @@
 //! daemon's emit step) and RSS is sampled per loop from
 //! `/proc/self/statm`.
 
+use churnlab_bench::argv::{self, unknown, Argv};
+use churnlab_bench::gate::Gate;
 use churnlab_bench::longhaul::{judge_plateau, LonghaulReport};
 use churnlab_bench::{Bench, Scale};
 use churnlab_core::pipeline::PipelineConfig;
@@ -52,39 +54,18 @@ fn parse_args() -> Result<Args, String> {
         max_growth: 1.1,
         max_rss_mb: None,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
+    let mut argv = Argv::from_env();
+    while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--scale" => {
-                let v = it.next().ok_or("--scale needs a value")?;
-                args.scale = Scale::parse(&v).ok_or(format!("bad scale `{v}`"))?;
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                args.seed = v.parse().map_err(|_| format!("bad seed `{v}`"))?;
-            }
-            "--measurements" => {
-                let v = it.next().ok_or("--measurements needs a count")?;
-                args.measurements = v.parse().map_err(|_| format!("bad count `{v}`"))?;
-            }
-            "--shards" => {
-                let v = it.next().ok_or("--shards needs a count")?;
-                args.shards = v.parse().map_err(|_| format!("bad shard count `{v}`"))?;
-            }
-            "--horizon" => {
-                let v = it.next().ok_or("--horizon needs a day count")?;
-                args.horizon = v.parse().map_err(|_| format!("bad horizon `{v}`"))?;
-            }
-            "--out" => args.out = it.next().ok_or("--out needs a path")?,
+            "--scale" => args.scale = argv.value("scale")?,
+            "--seed" => args.seed = argv.value("seed")?,
+            "--measurements" => args.measurements = argv.value("count")?,
+            "--shards" => args.shards = argv.value("shard count")?,
+            "--horizon" => args.horizon = argv.value("horizon")?,
+            "--out" => args.out = argv.value("path")?,
             "--assert-plateau" => args.assert_plateau = true,
-            "--max-growth" => {
-                let v = it.next().ok_or("--max-growth needs a ratio")?;
-                args.max_growth = v.parse().map_err(|_| format!("bad ratio `{v}`"))?;
-            }
-            "--max-rss-mb" => {
-                let v = it.next().ok_or("--max-rss-mb needs a megabyte count")?;
-                args.max_rss_mb = Some(v.parse().map_err(|_| format!("bad size `{v}`"))?);
-            }
+            "--max-growth" => args.max_growth = argv.value("ratio")?,
+            "--max-rss-mb" => args.max_rss_mb = Some(argv.value("size")?),
             "--help" | "-h" => {
                 return Err(
                     "usage: longhaul_bench [--scale smoke|small|paper] [--seed N] \
@@ -94,20 +75,14 @@ fn parse_args() -> Result<Args, String> {
                         .into(),
                 )
             }
-            other => return Err(format!("unknown argument `{other}` (try --help)")),
+            other => return Err(unknown(other)),
         }
     }
     Ok(args)
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
+    let args = argv::or_exit(parse_args());
 
     let bench = Bench::assemble(args.scale, args.seed);
     let platform = Platform::new(&bench.world, &bench.scenario, bench.platform_cfg.clone());
@@ -128,7 +103,7 @@ fn main() {
     let cfg = PipelineConfig::paper(total_days);
     let mut engine_cfg = EngineConfig::new(cfg).with_shards(args.shards);
     engine_cfg = engine_cfg.with_window_horizon(args.horizon);
-    let engine = Engine::with_context(platform.measured_ip2as(), &bench.world.topology, engine_cfg);
+    let engine = Engine::with_context(platform.measured_ip2as(), &bench.world.topology, engine_cfg, None);
 
     eprintln!(
         "longhaul: {} loops x {} measurements = {} total over {} days \
@@ -212,9 +187,7 @@ fn main() {
             p.peak_bytes >> 20,
         );
     }
-    let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write(&args.out, format!("{json}\n")).expect("write bench report");
-    eprintln!("longhaul: wrote {}", args.out);
+    Gate::new("longhaul", None).write_report(Some(&args.out), &report, false);
 
     let mut failed = false;
     if args.assert_plateau {

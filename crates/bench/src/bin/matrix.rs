@@ -19,6 +19,7 @@
 //! if the whole sweep exceeds the wall-clock budget — that is the CI
 //! guard that the Huge tier stays inside its time box.
 
+use churnlab_bench::argv::{self, unknown, Argv};
 use churnlab_bench::matrix::{check_invariants, run_matrix, CellRow, MatrixConfig};
 use std::io::Write;
 
@@ -44,33 +45,24 @@ fn parse_args() -> Result<Args, String> {
         out: None,
         check: None,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
+    let mut argv = Argv::from_env();
+    while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--full" => args.full = true,
             "--engine" => args.engine = true,
             "--huge-smoke" => args.huge_smoke = true,
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                args.seed = v.parse().map_err(|_| format!("bad seed `{v}`"))?;
-            }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a value")?;
-                args.threads = v.parse().map_err(|_| format!("bad thread count `{v}`"))?;
-            }
-            "--budget-secs" => {
-                let v = it.next().ok_or("--budget-secs needs a value")?;
-                args.budget_secs = Some(v.parse().map_err(|_| format!("bad budget `{v}`"))?);
-            }
-            "--out" => args.out = Some(it.next().ok_or("--out needs a path")?),
-            "--check" => args.check = Some(it.next().ok_or("--check needs a path")?),
+            "--seed" => args.seed = argv.value("seed")?,
+            "--threads" => args.threads = argv.value("thread count")?,
+            "--budget-secs" => args.budget_secs = Some(argv.value("budget")?),
+            "--out" => args.out = Some(argv.value("path")?),
+            "--check" => args.check = Some(argv.value("path")?),
             "--help" | "-h" => {
                 return Err(
                     "usage: matrix [--full] [--engine] [--huge-smoke] [--seed N] [--threads N] [--budget-secs N] [--out FILE] [--check FILE]"
                         .into(),
                 )
             }
-            other => return Err(format!("unknown argument `{other}` (try --help)")),
+            other => return Err(unknown(other)),
         }
     }
     Ok(args)
@@ -95,13 +87,7 @@ fn load_rows(path: &str) -> Vec<CellRow> {
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
+    let args = argv::or_exit(parse_args());
 
     let start = std::time::Instant::now();
     let rows = match &args.check {

@@ -15,6 +15,8 @@
 //! gated, so the gate is machine-relative and always armed (the
 //! `sat_core_bench --min-speedup` mould).
 
+use churnlab_bench::argv::{self, unknown, Argv};
+use churnlab_bench::gate::Gate;
 use churnlab_bench::internbench::run_intern_bench;
 
 struct Args {
@@ -27,30 +29,19 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args { seed: 42, cap: 64, repeats: 3, min_speedup: None, out: None };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
+    let mut argv = Argv::from_env();
+    while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                args.seed = v.parse().map_err(|_| format!("bad seed `{v}`"))?;
-            }
+            "--seed" => args.seed = argv.value("seed")?,
             "--cap" => {
-                let v = it.next().ok_or("--cap needs a value")?;
-                args.cap = v.parse().map_err(|_| format!("bad cap `{v}`"))?;
+                args.cap = argv.value("cap")?;
                 if args.cap < 2 {
                     return Err("--cap must be at least 2".into());
                 }
             }
-            "--repeats" => {
-                let v = it.next().ok_or("--repeats needs a value")?;
-                args.repeats = v.parse().map_err(|_| format!("bad repeat count `{v}`"))?;
-            }
-            "--min-speedup" => {
-                let v = it.next().ok_or("--min-speedup needs a value")?;
-                args.min_speedup =
-                    Some(v.parse().map_err(|_| format!("bad speedup floor `{v}`"))?);
-            }
-            "--out" => args.out = Some(it.next().ok_or("--out needs a path")?),
+            "--repeats" => args.repeats = argv.value("repeat count")?,
+            "--min-speedup" => args.min_speedup = Some(argv.value("speedup floor")?),
+            "--out" => args.out = Some(argv.value("path")?),
             "--help" | "-h" => {
                 return Err(
                     "usage: path_intern_bench [--seed N] [--cap N] [--repeats N] \
@@ -58,20 +49,14 @@ fn parse_args() -> Result<Args, String> {
                         .into(),
                 )
             }
-            other => return Err(format!("unknown argument `{other}` (try --help)")),
+            other => return Err(unknown(other)),
         }
     }
     Ok(args)
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
+    let args = argv::or_exit(parse_args());
 
     eprintln!("path_intern_bench: cap {}, best of {}", args.cap, args.repeats);
     let report = run_intern_bench(args.seed, args.cap, args.repeats);
@@ -100,14 +85,7 @@ fn main() {
         }
     }
 
-    let json = serde_json::to_string(&report).expect("report serializes");
-    match &args.out {
-        Some(path) => {
-            std::fs::write(path, format!("{json}\n")).expect("write report");
-            eprintln!("path_intern_bench: wrote {path}");
-        }
-        None => println!("{json}"),
-    }
+    Gate::new("path_intern_bench", None).write_report(args.out.as_deref(), &report, false);
     if gate_failed {
         std::process::exit(1);
     }

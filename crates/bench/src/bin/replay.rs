@@ -43,6 +43,8 @@
 //! they prove checkpoint → kill → restore → continue reproduces the
 //! uninterrupted report byte for byte.
 
+use churnlab_bench::argv::{self, unknown, Argv};
+use churnlab_bench::gate::Gate;
 use churnlab_bench::obsbench::MetricsWriter;
 use churnlab_bench::replaybench::{replay_session, ReplayBenchReport, ReplaySession, ReplaySessionOutcome};
 use churnlab_bench::{Bench, Scale};
@@ -92,64 +94,39 @@ fn parse_args() -> Result<Args, String> {
         halt_after_checkpoints: None,
         expect_digest: None,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
+    let mut argv = Argv::from_env();
+    while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--export" => args.export = Some(it.next().ok_or("--export needs a path")?),
-            "--in" => args.input = Some(it.next().ok_or("--in needs a path")?),
-            "--scale" => {
-                let v = it.next().ok_or("--scale needs a value")?;
-                args.scale = Some(Scale::parse(&v).ok_or(format!("bad scale `{v}`"))?);
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                args.seed = Some(v.parse().map_err(|_| format!("bad seed `{v}`"))?);
-            }
-            "--shards" => {
-                let v = it.next().ok_or("--shards needs a value")?;
-                args.shards = v.parse().map_err(|_| format!("bad shard count `{v}`"))?;
-            }
+            "--export" => args.export = Some(argv.value("path")?),
+            "--in" => args.input = Some(argv.value("path")?),
+            "--scale" => args.scale = Some(argv.value("scale")?),
+            "--seed" => args.seed = Some(argv.value("seed")?),
+            "--shards" => args.shards = argv.value("shard count")?,
             "--feeders" => {
-                let v = it.next().ok_or("--feeders needs a value")?;
-                args.feeders = v.parse().map_err(|_| format!("bad feeder count `{v}`"))?;
+                args.feeders = argv.value("feeder count")?;
                 if args.feeders == 0 {
                     return Err("--feeders needs a positive count".into());
                 }
             }
             "--format" => {
-                let v = it.next().ok_or("--format needs native|ooni")?;
+                let v: String = argv.value("format")?;
                 args.format = ReplayFormat::parse(&v).ok_or(format!("bad format `{v}`"))?;
             }
-            "--out" => args.out = it.next().ok_or("--out needs a path")?,
-            "--metrics-out" => {
-                args.metrics_out = Some(it.next().ok_or("--metrics-out needs a path")?)
-            }
+            "--out" => args.out = argv.value("path")?,
+            "--metrics-out" => args.metrics_out = Some(argv.value("path")?),
             "--verify" => args.verify = true,
-            "--window-horizon" => {
-                let v = it.next().ok_or("--window-horizon needs a day count")?;
-                args.window_horizon =
-                    Some(v.parse().map_err(|_| format!("bad horizon `{v}`"))?);
-            }
-            "--checkpoint" => {
-                args.checkpoint = Some(it.next().ok_or("--checkpoint needs a path")?)
-            }
+            "--window-horizon" => args.window_horizon = Some(argv.value("horizon")?),
+            "--checkpoint" => args.checkpoint = Some(argv.value("path")?),
             "--checkpoint-every" => {
-                let v = it.next().ok_or("--checkpoint-every needs a line count")?;
-                let n: u64 = v.parse().map_err(|_| format!("bad interval `{v}`"))?;
+                let n: u64 = argv.value("interval")?;
                 if n == 0 {
                     return Err("--checkpoint-every needs a positive line count".into());
                 }
                 args.checkpoint_every = Some(n);
             }
-            "--resume" => args.resume = Some(it.next().ok_or("--resume needs a path")?),
-            "--halt-after-checkpoints" => {
-                let v = it.next().ok_or("--halt-after-checkpoints needs a count")?;
-                args.halt_after_checkpoints =
-                    Some(v.parse().map_err(|_| format!("bad count `{v}`"))?);
-            }
-            "--expect-digest" => {
-                args.expect_digest = Some(it.next().ok_or("--expect-digest needs a hex digest")?)
-            }
+            "--resume" => args.resume = Some(argv.value("path")?),
+            "--halt-after-checkpoints" => args.halt_after_checkpoints = Some(argv.value("count")?),
+            "--expect-digest" => args.expect_digest = Some(argv.value("digest")?),
             "--help" | "-h" => {
                 return Err(
                     "usage: replay --export FILE [--scale smoke|small|paper] [--seed N]\n\
@@ -162,7 +139,7 @@ fn parse_args() -> Result<Args, String> {
                         .into(),
                 )
             }
-            other => return Err(format!("unknown argument `{other}` (try --help)")),
+            other => return Err(unknown(other)),
         }
     }
     if args.export.is_some() == args.input.is_some() {
@@ -182,16 +159,8 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Deterministically rebuild the study a manifest names. The platform's
-/// degraded IP-to-AS view and the world topology are the interpretation
-/// context a replay needs; the routing sim and scenario only matter for
-/// `--export` / `--verify` re-runs.
-fn reassemble(scale: Scale, seed: u64) -> Bench {
-    Bench::assemble(scale, seed)
-}
-
 fn export(path: &str, scale: Scale, seed: u64) {
-    let bench = reassemble(scale, seed);
+    let bench = Bench::assemble(scale, seed);
     let platform = Platform::new(&bench.world, &bench.scenario, bench.platform_cfg.clone());
     let sim = bench.sim();
     let file = std::fs::File::create(path).expect("create dump file");
@@ -228,8 +197,8 @@ fn ingest(args: &Args, path: &str) {
     // seed 99 (never silently ignored).
     let scale = args.scale.or_else(|| {
         manifest.as_ref().map(|m| {
-            Scale::parse(&m.scale)
-                .unwrap_or_else(|| panic!("manifest names unknown scale `{}`", m.scale))
+            let unknown = |()| panic!("manifest names unknown scale `{}`", m.scale);
+            m.scale.parse().unwrap_or_else(unknown)
         })
     });
     let seed = args.seed.or(manifest.as_ref().map(|m| m.seed));
@@ -241,7 +210,7 @@ fn ingest(args: &Args, path: &str) {
         std::process::exit(2);
     };
 
-    let bench = reassemble(scale, seed);
+    let bench = Bench::assemble(scale, seed);
     let platform = Platform::new(&bench.world, &bench.scenario, bench.platform_cfg.clone());
     let cfg = PipelineConfig::paper(bench.platform_cfg.total_days);
 
@@ -325,20 +294,18 @@ fn ingest(args: &Args, path: &str) {
         report.identified_censors,
     );
 
-    let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write(&args.out, format!("{json}\n")).expect("write bench report");
-    eprintln!("replay: wrote {}", args.out);
+    let gate = Gate::new("replay", None);
+    gate.write_report(Some(&args.out), &report, false);
     if let Some(out) = &args.metrics_out {
         eprintln!("replay: wrote {out}");
     }
 
     if let Some(expected) = &args.expect_digest {
         if !report.report_digest.eq_ignore_ascii_case(expected) {
-            eprintln!(
-                "replay: FAIL — canonical digest {} does not match expected {expected}",
+            gate.fail(&format!(
+                "canonical digest {} does not match expected {expected}",
                 report.report_digest,
-            );
-            std::process::exit(1);
+            ));
         }
         eprintln!("replay: digest matches expected {expected}");
     }
@@ -353,26 +320,18 @@ fn ingest(args: &Args, path: &str) {
         let expected = direct.finish().canonical_report().to_json();
         let got = outcome.results.canonical_report().to_json();
         if got != expected {
-            eprintln!(
-                "replay: FAIL — replayed canonical report diverged from the direct run \
-                 ({} vs {} bytes)",
+            gate.fail(&format!(
+                "replayed canonical report diverged from the direct run ({} vs {} bytes)",
                 got.len(),
                 expected.len(),
-            );
-            std::process::exit(1);
+            ));
         }
         eprintln!("replay: verified — replayed report is byte-identical to the direct run");
     }
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
+    let args = argv::or_exit(parse_args());
     if let Some(path) = &args.export {
         let scale = args.scale.unwrap_or(Scale::Smoke);
         let seed = args.seed.unwrap_or(42);

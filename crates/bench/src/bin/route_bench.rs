@@ -26,6 +26,8 @@
 //! around the system one; only this binary carries it, the library
 //! crates all remain `forbid(unsafe_code)`.
 
+use churnlab_bench::argv::{self, unknown, Argv};
+use churnlab_bench::gate::Gate;
 use churnlab_bench::routebench::{run_tier, RouteBenchReport, RouteBenchRow};
 use churnlab_topology::WorldScale;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -88,49 +90,27 @@ fn parse_args() -> Result<Args, String> {
         max_steady_allocs: None,
         out: None,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
+    let mut argv = Argv::from_env();
+    while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                args.seed = v.parse().map_err(|_| format!("bad seed `{v}`"))?;
-            }
-            "--repeats" => {
-                let v = it.next().ok_or("--repeats needs a value")?;
-                args.repeats = v.parse().map_err(|_| format!("bad repeat count `{v}`"))?;
-            }
+            "--seed" => args.seed = argv.value("seed")?,
+            "--repeats" => args.repeats = argv.value("repeat count")?,
             "--scale" => {
-                args.scale = match it.next().ok_or("--scale needs a value")?.as_str() {
+                args.scale = match argv.value::<String>("scale")?.as_str() {
                     "small" => ScaleArg::Small,
                     "huge" => ScaleArg::Huge,
                     "both" => ScaleArg::Both,
                     other => return Err(format!("bad scale `{other}` (small|huge|both)")),
                 };
             }
-            "--trees" => {
-                let v = it.next().ok_or("--trees needs a value")?;
-                args.trees = Some(v.parse().map_err(|_| format!("bad tree count `{v}`"))?);
-            }
-            "--queries" => {
-                let v = it.next().ok_or("--queries needs a value")?;
-                args.queries = Some(v.parse().map_err(|_| format!("bad query count `{v}`"))?);
-            }
-            "--min-speedup" => {
-                let v = it.next().ok_or("--min-speedup needs a value")?;
-                args.min_speedup =
-                    Some(v.parse().map_err(|_| format!("bad speedup floor `{v}`"))?);
-            }
+            "--trees" => args.trees = Some(argv.value("tree count")?),
+            "--queries" => args.queries = Some(argv.value("query count")?),
+            "--min-speedup" => args.min_speedup = Some(argv.value("speedup floor")?),
             "--min-reachability" => {
-                let v = it.next().ok_or("--min-reachability needs a value")?;
-                args.min_reachability =
-                    Some(v.parse().map_err(|_| format!("bad reachability floor `{v}`"))?);
+                args.min_reachability = Some(argv.value("reachability floor")?)
             }
-            "--max-steady-allocs" => {
-                let v = it.next().ok_or("--max-steady-allocs needs a value")?;
-                args.max_steady_allocs =
-                    Some(v.parse().map_err(|_| format!("bad alloc ceiling `{v}`"))?);
-            }
-            "--out" => args.out = Some(it.next().ok_or("--out needs a path")?),
+            "--max-steady-allocs" => args.max_steady_allocs = Some(argv.value("alloc ceiling")?),
+            "--out" => args.out = Some(argv.value("path")?),
             "--help" | "-h" => {
                 return Err(
                     "usage: route_bench [--seed N] [--repeats N] [--scale small|huge|both] \
@@ -139,7 +119,7 @@ fn parse_args() -> Result<Args, String> {
                         .into(),
                 )
             }
-            other => return Err(format!("unknown argument `{other}` (try --help)")),
+            other => return Err(unknown(other)),
         }
     }
     Ok(args)
@@ -171,13 +151,7 @@ fn tiers(args: &Args) -> Vec<(WorldScale, &'static str, usize, usize, usize)> {
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
+    let args = argv::or_exit(parse_args());
 
     let mut rows: Vec<RouteBenchRow> = Vec::new();
     let mut gate_failed = false;
@@ -241,14 +215,7 @@ fn main() {
     }
 
     let report = RouteBenchReport { seed: args.seed, repeats: args.repeats, rows };
-    let json = serde_json::to_string(&report).expect("report serializes");
-    match &args.out {
-        Some(path) => {
-            std::fs::write(path, format!("{json}\n")).expect("write report");
-            eprintln!("route_bench: wrote {path}");
-        }
-        None => println!("{json}"),
-    }
+    Gate::new("route_bench", None).write_report(args.out.as_deref(), &report, false);
     if gate_failed {
         std::process::exit(1);
     }

@@ -12,6 +12,8 @@
 //! `--min-speedup X` turns the run into a gate: exit non-zero unless the
 //! warm context beats the reference core by at least `X`× on every mix.
 
+use churnlab_bench::argv::{self, unknown, Argv};
+use churnlab_bench::gate::Gate;
 use churnlab_bench::satbench::run_sat_bench;
 
 struct Args {
@@ -32,37 +34,25 @@ fn parse_args() -> Result<Args, String> {
         min_speedup: None,
         out: None,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
+    let mut argv = Argv::from_env();
+    while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--instances" => {
-                let v = it.next().ok_or("--instances needs a value")?;
-                args.instances = v.parse().map_err(|_| format!("bad instance count `{v}`"))?;
+                args.instances = argv.value("instance count")?;
                 if args.instances == 0 {
                     return Err("--instances must be positive".into());
                 }
             }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                args.seed = v.parse().map_err(|_| format!("bad seed `{v}`"))?;
-            }
+            "--seed" => args.seed = argv.value("seed")?,
             "--cap" => {
-                let v = it.next().ok_or("--cap needs a value")?;
-                args.cap = v.parse().map_err(|_| format!("bad cap `{v}`"))?;
+                args.cap = argv.value("cap")?;
                 if args.cap < 2 {
                     return Err("--cap must be at least 2".into());
                 }
             }
-            "--repeats" => {
-                let v = it.next().ok_or("--repeats needs a value")?;
-                args.repeats = v.parse().map_err(|_| format!("bad repeat count `{v}`"))?;
-            }
-            "--min-speedup" => {
-                let v = it.next().ok_or("--min-speedup needs a value")?;
-                args.min_speedup =
-                    Some(v.parse().map_err(|_| format!("bad speedup floor `{v}`"))?);
-            }
-            "--out" => args.out = Some(it.next().ok_or("--out needs a path")?),
+            "--repeats" => args.repeats = argv.value("repeat count")?,
+            "--min-speedup" => args.min_speedup = Some(argv.value("speedup floor")?),
+            "--out" => args.out = Some(argv.value("path")?),
             "--help" | "-h" => {
                 return Err(
                     "usage: sat_core_bench [--instances N] [--seed N] [--cap N] [--repeats N] \
@@ -70,20 +60,14 @@ fn parse_args() -> Result<Args, String> {
                         .into(),
                 )
             }
-            other => return Err(format!("unknown argument `{other}` (try --help)")),
+            other => return Err(unknown(other)),
         }
     }
     Ok(args)
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
+    let args = argv::or_exit(parse_args());
 
     eprintln!(
         "sat_core_bench: {} instances per mix, cap {}, best of {}",
@@ -114,14 +98,7 @@ fn main() {
         }
     }
 
-    let json = serde_json::to_string(&report).expect("report serializes");
-    match &args.out {
-        Some(path) => {
-            std::fs::write(path, format!("{json}\n")).expect("write report");
-            eprintln!("sat_core_bench: wrote {path}");
-        }
-        None => println!("{json}"),
-    }
+    Gate::new("sat_core_bench", None).write_report(args.out.as_deref(), &report, false);
     if gate_failed {
         std::process::exit(1);
     }

@@ -1,5 +1,5 @@
 //! End-to-end campaign throughput: measurements/sec through the **fused**
-//! sim→engine path (`churnlab_engine::campaign::run_fused`) at several
+//! sim→engine path (`Platform::run_parallel` feeding engine feeders) at several
 //! generator thread counts, against a serial `Platform::run` reference.
 //! Shared by the `campaign_bench` binary that writes `BENCH_campaign.json`
 //! in CI.
@@ -27,9 +27,10 @@
 //! A flat thread curve — workers contending on a shared lock, or one
 //! worker claiming the whole corpus — fails both.
 
+use crate::gate::Point;
 use crate::Bench;
 use churnlab_core::pipeline::PipelineConfig;
-use churnlab_engine::{campaign, Engine, EngineConfig};
+use churnlab_engine::{Engine, EngineConfig};
 use churnlab_platform::{CampaignBusy, Platform};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -81,7 +82,10 @@ impl<'w> CampaignHarness<'w> {
         let start = Instant::now();
         let engine =
             Engine::new(&self.platform, EngineConfig::new(self.cfg.clone()).with_shards(shards));
-        let run = campaign::run_fused(&self.platform, &self.sim, &engine, threads);
+        let run = self.platform.run_parallel(&self.sim, threads, |_| {
+            let mut feeder = engine.feeder();
+            move |m| feeder.ingest_owned(m)
+        });
         let digest = engine.finish().canonical_report().digest();
         (start.elapsed().as_secs_f64(), digest, run.busy)
     }
@@ -143,6 +147,21 @@ pub struct CampaignReport {
     pub digest: String,
     /// One row per thread count.
     pub rows: Vec<CampaignRow>,
+}
+
+impl CampaignReport {
+    /// The thread sweep as the gates read it.
+    pub fn points(&self) -> Vec<Point> {
+        self.rows
+            .iter()
+            .map(|r| Point {
+                key: r.threads,
+                speedup: r.speedup_vs_serial,
+                wallclock_efficiency: r.wallclock_efficiency,
+                model_efficiency: r.model_efficiency,
+            })
+            .collect()
+    }
 }
 
 /// Run the sweep: best-of-`repeats` serial reference, then best-of-

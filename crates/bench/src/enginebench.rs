@@ -21,6 +21,7 @@
 //! the busy-time model shows one shard's busy time not shrinking as N
 //! grows.
 
+use crate::gate::Point;
 use crate::obsbench::BenchObs;
 use crate::Bench;
 use churnlab_core::pipeline::{Pipeline, PipelineConfig};
@@ -68,15 +69,11 @@ impl<'w> ThroughputHarness<'w> {
     /// counters. The per-feeder chunks are cloned *before* the clock
     /// starts: a deployed feeder owns its measurements (they arrive off
     /// the wire), so the copy is harness overhead, not engine work.
-    pub fn time_engine(&self, shards: usize, feeders: usize) -> (f64, EngineStats) {
-        self.time_engine_with(shards, feeders, None)
-    }
-
-    /// [`ThroughputHarness::time_engine`], optionally over an
-    /// observability sink: `Some` builds an *instrumented* engine
-    /// registering its series into the sink's shared registry, `None`
-    /// the *stripped* one — the pair the overhead gate compares.
-    pub fn time_engine_with(
+    ///
+    /// With an observability sink the engine is *instrumented*,
+    /// registering its series into the sink's shared registry; `None`
+    /// is the *stripped* engine — the pair the overhead gate compares.
+    pub fn time_engine(
         &self,
         shards: usize,
         feeders: usize,
@@ -158,15 +155,6 @@ pub struct ThroughputRow {
     pub stats: EngineStats,
 }
 
-impl ThroughputRow {
-    /// The row's busy-time critical path in nanoseconds: the slowest
-    /// shard worker plus the serial merge. Zero on rows from baselines
-    /// predating busy-time attribution.
-    pub fn critical_nanos(&self) -> u64 {
-        self.stats.busy.shard_max_nanos + self.stats.busy.merge_nanos
-    }
-}
-
 /// The full throughput report (`BENCH_engine.json`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ThroughputReport {
@@ -184,6 +172,21 @@ pub struct ThroughputReport {
     pub pipeline_meas_per_sec: f64,
     /// One row per shard count.
     pub engine: Vec<ThroughputRow>,
+}
+
+impl ThroughputReport {
+    /// The shard sweep as the gates read it.
+    pub fn points(&self) -> Vec<Point> {
+        self.engine
+            .iter()
+            .map(|r| Point {
+                key: r.shards,
+                speedup: r.speedup_vs_pipeline,
+                wallclock_efficiency: r.wallclock_efficiency,
+                model_efficiency: r.model_efficiency,
+            })
+            .collect()
+    }
 }
 
 /// Resolve a feeder spec against a shard count: `0` means "one feeder
@@ -225,7 +228,7 @@ pub fn run_throughput(
     for &shards in shard_counts {
         let row_feeders = resolve_feeders(feeders, shards);
         let runs: Vec<(f64, EngineStats)> =
-            (0..repeats).map(|_| harness.time_engine_with(shards, row_feeders, obs)).collect();
+            (0..repeats).map(|_| harness.time_engine(shards, row_feeders, obs)).collect();
         let crit = |s: &EngineStats| s.busy.shard_max_nanos + s.busy.merge_nanos;
         min_crit.push(runs.iter().map(|(_, s)| crit(s)).min().expect("repeats >= 1"));
         // Keep the stats paired with the repeat they came from: the
@@ -360,7 +363,7 @@ pub fn run_overhead(
     // pass is ~15ms of work, where one mistimed interrupt already costs
     // percents; sums of many passes put the jitter floor well below a
     // 2% budget.
-    let calib = harness.time_engine_with(shards, feeders, None);
+    let calib = harness.time_engine(shards, feeders, None);
     let est = cpu_secs(&calib.1).max(1e-4);
     let passes = ((1.0 / est).ceil() as usize).clamp(1, 100);
     let mut best_wall = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
@@ -380,7 +383,7 @@ pub fn run_overhead(
             }
             for a in order {
                 let arm = if a == 0 { None } else { Some(&measured) };
-                let (secs, stats) = harness.time_engine_with(shards, feeders, arm);
+                let (secs, stats) = harness.time_engine(shards, feeders, arm);
                 wall_sums[a] += secs;
                 cpu_sums[a] += cpu_secs(&stats);
             }
@@ -403,7 +406,7 @@ pub fn run_overhead(
     if sink.journal.is_some() {
         // Unmeasured artifact pass: one fully-instrumented run so the
         // caller's journal carries a real event stream.
-        let _ = harness.time_engine_with(shards, feeders, Some(sink));
+        let _ = harness.time_engine(shards, feeders, Some(sink));
     }
     OverheadReport {
         scale: scale_label.to_string(),

@@ -10,8 +10,10 @@
 
 #![forbid(unsafe_code)]
 
+pub mod argv;
 pub mod campaignbench;
 pub mod enginebench;
+pub mod gate;
 pub mod internbench;
 pub mod longhaul;
 pub mod matrix;
@@ -37,16 +39,21 @@ pub enum Scale {
     Paper,
 }
 
-impl Scale {
-    /// Parse from CLI text.
-    pub fn parse(s: &str) -> Option<Scale> {
+/// Parse from CLI text (`smoke`, `small`, `paper`).
+impl std::str::FromStr for Scale {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Scale, ()> {
         match s {
-            "smoke" => Some(Scale::Smoke),
-            "small" => Some(Scale::Small),
-            "paper" => Some(Scale::Paper),
-            _ => None,
+            "smoke" => Ok(Scale::Smoke),
+            "small" => Ok(Scale::Small),
+            "paper" => Ok(Scale::Paper),
+            _ => Err(()),
         }
     }
+}
+
+impl Scale {
 
     /// World preset.
     pub fn world(self, seed: u64) -> WorldConfig {

@@ -327,23 +327,21 @@ pub fn run_cell(spec: &CellSpec) -> CellRow {
     );
     let mut pipeline_cfg = PipelineConfig::paper(platform_cfg.total_days);
     pipeline_cfg.churn_mode = spec.churn_mode;
-    let (stats, results) = if spec.engine && spec.scale == WorldScale::Huge {
-        // Huge cells fan the generator out: fused sim→engine streaming,
-        // one worker per core, 2 shards draining. Everything downstream
-        // is order-independent, so the row is identical to a serial feed.
-        let engine = Engine::new(&platform, EngineConfig::new(pipeline_cfg).with_shards(2));
-        let run = churnlab_engine::campaign::run_fused(&platform, &sim, &engine, 0);
+    let (stats, results) = if spec.engine {
+        // Fused sim→engine streaming. Huge cells fan the generator out
+        // (one worker per core, 2 shards draining); the others run one
+        // worker into one shard, because `run_matrix` already spreads
+        // cells across cores. Everything downstream is order-independent
+        // and shard count cannot change the results (asserted by
+        // `engine_cells_match_pipeline_cells`), so the row is identical
+        // to a serial feed.
+        let (threads, shards) = if spec.scale == WorldScale::Huge { (0, 2) } else { (1, 1) };
+        let engine = Engine::new(&platform, EngineConfig::new(pipeline_cfg).with_shards(shards));
+        let run = platform.run_parallel(&sim, threads, |_| {
+            let mut feeder = engine.feeder();
+            move |m| feeder.ingest_owned(m)
+        });
         (run.stats, engine.finish())
-    } else if spec.engine {
-        // One shard per cell: `run_matrix` already spreads cells across
-        // cores, and shard count cannot change the results (asserted by
-        // `engine_cells_match_pipeline_cells`), so more would only
-        // oversubscribe. The chunked feeder keeps channel traffic cheap.
-        let engine = Engine::new(&platform, EngineConfig::new(pipeline_cfg).with_shards(1));
-        let mut feeder = engine.feeder();
-        let stats = platform.run(&sim, |m| feeder.ingest_owned(m));
-        drop(feeder);
-        (stats, engine.finish())
     } else {
         let mut pipeline = Pipeline::new(&platform, pipeline_cfg);
         let stats = platform.run(&sim, |m| pipeline.ingest(&m));

@@ -88,7 +88,7 @@ pub fn replay_session<R: BufRead>(
     let engine = match session.resume_from {
         Some(path) => {
             let file = std::fs::File::open(path)?;
-            let restored = Engine::restore_with_obs(
+            let restored = Engine::restore(
                 db,
                 topo,
                 session.engine_cfg,
@@ -107,7 +107,7 @@ pub fn replay_session<R: BufRead>(
                 .unwrap_or_default();
             restored.engine
         }
-        None => Engine::with_context_obs(db, topo, session.engine_cfg, session.obs),
+        None => Engine::with_context(db, topo, session.engine_cfg, session.obs),
     };
     let outcome = replay_jsonl_resumable(
         r,

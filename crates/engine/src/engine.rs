@@ -11,7 +11,7 @@ use churnlab_core::analyze::InstanceOutcome;
 use churnlab_core::convert::ConversionStats;
 use churnlab_core::pipeline::{ChurnMode, PipelineConfig, PipelineResults};
 use churnlab_core::{ChurnAccumulator, RetiredChurn};
-use churnlab_obs::{thread_cpu_nanos, Registry};
+use churnlab_obs::{BusyStart, Registry};
 use churnlab_platform::{Measurement, Platform};
 use churnlab_sat::CtxStats;
 use serde::{Deserialize, Serialize};
@@ -19,7 +19,6 @@ use std::io::{Read, Write};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// Engine configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -341,18 +340,13 @@ impl<'c> Engine<'c> {
     /// New engine over a platform (interpret the platform's measurements
     /// with the platform's own degraded IP-to-AS view).
     pub fn new(platform: &'c Platform<'c>, cfg: EngineConfig) -> Self {
-        Self::with_context(platform.measured_ip2as(), &platform.world().topology, cfg)
+        Self::with_context(platform.measured_ip2as(), &platform.world().topology, cfg, None)
     }
 
     /// [`Engine::new`] with an observability context (see
-    /// [`Engine::with_context_obs`]).
+    /// [`Engine::with_context`]).
     pub fn new_with_obs(platform: &'c Platform<'c>, cfg: EngineConfig, obs: EngineObs) -> Self {
-        Self::with_context_obs(
-            platform.measured_ip2as(),
-            &platform.world().topology,
-            cfg,
-            Some(obs),
-        )
+        Self::with_context(platform.measured_ip2as(), &platform.world().topology, cfg, Some(obs))
     }
 
     /// New engine over externally supplied context — the entry point for
@@ -360,21 +354,13 @@ impl<'c> Engine<'c> {
     /// [`churnlab_core::pipeline::Pipeline::with_context`]. The IP-to-AS
     /// database is cloned once into the shard workers (they convert on
     /// their own threads and outlive the borrow).
+    ///
+    /// With `obs`, shard workers publish live metrics (and journal
+    /// events, when a journal is attached) through it. `None` is the
+    /// *stripped* configuration — no registry, no atomic ops, one
+    /// predictable branch per instrumentation site — which is what the
+    /// bench's overhead gate compares the instrumented engine against.
     pub fn with_context(
-        db: &churnlab_topology::Ip2AsDb,
-        topo: &'c churnlab_topology::Topology,
-        cfg: EngineConfig,
-    ) -> Self {
-        Self::with_context_obs(db, topo, cfg, None)
-    }
-
-    /// [`Engine::with_context`] with an observability context: shard
-    /// workers publish live metrics (and journal events, when a journal
-    /// is attached) through `obs`. Passing `None` is the *stripped*
-    /// configuration — no registry, no atomic ops, one predictable
-    /// branch per instrumentation site — which is what the bench's
-    /// overhead gate compares the instrumented engine against.
-    pub fn with_context_obs(
         db: &churnlab_topology::Ip2AsDb,
         topo: &'c churnlab_topology::Topology,
         cfg: EngineConfig,
@@ -541,8 +527,7 @@ impl<'c> Engine<'c> {
         // under core oversubscription) plus the slowest parallel
         // accumulation worker — what an unconstrained machine would
         // serially wait for. Wall time is the fallback.
-        let cpu0 = thread_cpu_nanos();
-        let t0 = Instant::now();
+        let start = BusyStart::now();
         let mut par_max_nanos = 0u64;
         let mut stats = EngineStats { shards: self.senders.len(), ..Default::default() };
         let mut conversion = ConversionStats::default();
@@ -596,10 +581,9 @@ impl<'c> Engine<'c> {
                         .iter()
                         .map(|r| {
                             scope.spawn(|| {
-                                let c0 = thread_cpu_nanos().unwrap_or(0);
+                                let start = BusyStart::now();
                                 let acc = shard_acc(r);
-                                let c1 = thread_cpu_nanos().unwrap_or(0);
-                                (acc, c1.saturating_sub(c0))
+                                (acc, start.elapsed().0)
                             })
                         })
                         .collect();
@@ -658,11 +642,11 @@ impl<'c> Engine<'c> {
             }
         }
         let FindingsAccumulator { censor_findings, leakage, on_censored_path } = acc;
-        stats.busy.merge_nanos = match (cpu0, thread_cpu_nanos()) {
+        stats.busy.merge_nanos = match start.elapsed() {
             // Caller CPU excludes the scoped workers (and the idle wait
             // joining them); add back the slowest worker's CPU.
-            (Some(a), Some(b)) => b.saturating_sub(a) + par_max_nanos,
-            _ => t0.elapsed().as_nanos() as u64,
+            (cpu, true) => cpu + par_max_nanos,
+            (wall, false) => wall,
         };
         if let Some(obs) = &self.obs {
             obs.registry()
@@ -815,21 +799,12 @@ impl<'c> Engine<'c> {
     /// free. Returns the engine plus the stored cursor and user blob.
     /// Continuing the stream from `cursor` produces reports identical to
     /// an uninterrupted run's.
+    ///
+    /// With `obs` (see [`Engine::with_context`]), restored shards seed
+    /// the `churnlab_windows_open` gauge from their live group count,
+    /// but emit no journal events for pre-checkpoint history: a
+    /// restored journal narrates the post-restore stream only.
     pub fn restore(
-        db: &churnlab_topology::Ip2AsDb,
-        topo: &'c churnlab_topology::Topology,
-        cfg: EngineConfig,
-        r: &mut impl Read,
-    ) -> Result<Restored<'c>, RestoreError> {
-        Self::restore_with_obs(db, topo, cfg, r, None)
-    }
-
-    /// [`Engine::restore`] with an observability context. Restored
-    /// shards seed the `churnlab_windows_open` gauge from their live
-    /// group count, but emit no journal events for pre-checkpoint
-    /// history: a restored journal narrates the post-restore stream
-    /// only.
-    pub fn restore_with_obs(
         db: &churnlab_topology::Ip2AsDb,
         topo: &'c churnlab_topology::Topology,
         cfg: EngineConfig,

@@ -63,11 +63,33 @@
 //! let results = engine.finish();
 //! println!("identified {} censors", results.identified_censors().len());
 //! ```
+//!
+//! ## Campaigns and constructors
+//!
+//! A campaign at scale runs through the platform's one runner,
+//! `Platform::run_parallel`, with an [`Engine::feeder`] per generator
+//! worker — a *fused* run, generation and solving overlapping with no
+//! intermediate copy of the stream:
+//!
+//! ```ignore
+//! let run = platform.run_parallel(&sim, threads, |_| {
+//!     let mut feeder = engine.feeder();
+//!     move |m| feeder.ingest_owned(m)
+//! });
+//! ```
+//!
+//! Its report is byte-identical to the serial run above. The serial
+//! `Platform::run` stays because it alone takes a non-`Send` `FnMut`
+//! sink, which the batch pipeline's `&mut` ingest needs.
+//!
+//! An engine is built by [`Engine::new`] (over a platform),
+//! [`Engine::with_context`] (over imported context) or
+//! [`Engine::restore`] (from a checkpoint); the last two take an
+//! `Option<EngineObs>`, and [`Engine::new_with_obs`] is `new` with one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod campaign;
 mod ckpt;
 mod engine;
 pub mod incremental;
@@ -83,6 +105,3 @@ pub use engine::{
 pub use incremental::{IncrementalInstance, IncrementalStats, InstanceGroup, SolveScratch};
 pub use intern::{InternStats, PathSnapshot, PathTable};
 pub use obs::EngineObs;
-// The schedstat on-CPU clock moved into `churnlab-obs`; re-exported so
-// engine consumers keep one import path.
-pub use churnlab_obs::thread_cpu_nanos;

@@ -5,7 +5,7 @@
 //! registry, takes no atomic ops, and emits nothing — that *stripped*
 //! configuration is the baseline the bench's overhead gate compares
 //! against. Constructed with [`EngineObs`]
-//! ([`crate::Engine::with_context_obs`]), each shard worker gets a
+//! ([`crate::Engine::with_context`]), each shard worker gets a
 //! [`ShardObs`] of pre-registered handles:
 //!
 //! * `churnlab_measurements_total{shard}` — raw measurements routed in;

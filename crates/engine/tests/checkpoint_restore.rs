@@ -7,41 +7,12 @@
 
 use std::io::Cursor;
 
-use churnlab_bgp::{ChurnConfig, RoutingSim};
-use churnlab_censor::{CensorConfig, CensorshipScenario};
+mod common;
+
 use churnlab_core::pipeline::{ChurnMode, PipelineConfig, PipelineResults};
 use churnlab_engine::{Engine, EngineConfig, RestoreError};
-use churnlab_platform::{Measurement, Platform, PlatformConfig, PlatformScale};
-use churnlab_topology::{generator, GeneratedWorld, WorldConfig, WorldScale};
-
-struct Study {
-    world: GeneratedWorld,
-    scenario: CensorshipScenario,
-    platform_cfg: PlatformConfig,
-    churn_cfg: ChurnConfig,
-}
-
-fn study(seed: u64) -> Study {
-    let world = generator::generate(&WorldConfig::preset(WorldScale::Smoke, seed));
-    let mut censor_cfg = CensorConfig::scaled_for(world.topology.countries().len());
-    censor_cfg.seed = seed.wrapping_add(2);
-    let platform_cfg = PlatformConfig::preset(PlatformScale::Smoke, seed.wrapping_add(1));
-    censor_cfg.total_days = platform_cfg.total_days;
-    let scenario = CensorshipScenario::generate_for_world(&world, &censor_cfg);
-    let churn_cfg = ChurnConfig {
-        seed: seed.wrapping_add(3),
-        total_days: platform_cfg.total_days,
-        ..ChurnConfig::default()
-    };
-    Study { world, scenario, platform_cfg, churn_cfg }
-}
-
-fn measurements(s: &Study) -> (Platform<'_>, Vec<Measurement>) {
-    let platform = Platform::new(&s.world, &s.scenario, s.platform_cfg.clone());
-    let sim = RoutingSim::new(&s.world.topology, &s.churn_cfg);
-    let (ms, _) = platform.run_collect(&sim);
-    (platform, ms)
-}
+use churnlab_platform::{Measurement, Platform};
+use common::{measurements, study, Study};
 
 fn engine_cfg(
     platform: &Platform<'_>,
@@ -67,7 +38,7 @@ fn uninterrupted(
     ms: &[Measurement],
     cfg: EngineConfig,
 ) -> String {
-    let engine = Engine::with_context(platform.measured_ip2as(), &s.world.topology, cfg);
+    let engine = Engine::with_context(platform.measured_ip2as(), &s.world.topology, cfg, None);
     for m in ms {
         engine.ingest(m);
     }
@@ -86,7 +57,7 @@ fn interrupted(
     let mut blob = Vec::new();
     {
         let engine =
-            Engine::with_context(platform.measured_ip2as(), &s.world.topology, cfg.clone());
+            Engine::with_context(platform.measured_ip2as(), &s.world.topology, cfg.clone(), None);
         for m in &ms[..cut] {
             engine.ingest(m);
         }
@@ -96,7 +67,7 @@ fn interrupted(
         // Engine drops here: the "process" dies.
     }
     let restored =
-        Engine::restore(platform.measured_ip2as(), &s.world.topology, cfg, &mut Cursor::new(&blob))
+        Engine::restore(platform.measured_ip2as(), &s.world.topology, cfg, &mut Cursor::new(&blob), None)
             .expect("restore");
     assert_eq!(restored.cursor, cut as u64);
     assert_eq!(restored.user, b"import-state");
@@ -187,7 +158,7 @@ fn checkpoint_with_unflushed_feeder_tails() {
     let tail: Vec<Measurement>;
     {
         let engine =
-            Engine::with_context(platform.measured_ip2as(), &s.world.topology, cfg.clone());
+            Engine::with_context(platform.measured_ip2as(), &s.world.topology, cfg.clone(), None);
         for m in &ms[..shipped] {
             engine.ingest(m);
         }
@@ -200,7 +171,7 @@ fn checkpoint_with_unflushed_feeder_tails() {
         engine.checkpoint(shipped as u64, &[], &mut blob).expect("checkpoint");
     }
     let restored =
-        Engine::restore(platform.measured_ip2as(), &s.world.topology, cfg, &mut Cursor::new(&blob))
+        Engine::restore(platform.measured_ip2as(), &s.world.topology, cfg, &mut Cursor::new(&blob), None)
             .expect("restore");
     let mut feeder = restored.engine.feeder();
     for m in &tail {
@@ -223,7 +194,7 @@ fn restore_into_different_shard_count_is_a_loud_error() {
     let mut blob = Vec::new();
     {
         let engine =
-            Engine::with_context(platform.measured_ip2as(), &s.world.topology, cfg.clone());
+            Engine::with_context(platform.measured_ip2as(), &s.world.topology, cfg.clone(), None);
         for m in &ms[..ms.len() / 2] {
             engine.ingest(m);
         }
@@ -236,6 +207,7 @@ fn restore_into_different_shard_count_is_a_loud_error() {
         &s.world.topology,
         wrong,
         &mut Cursor::new(&blob),
+        None,
     )
     .err()
     .expect("resharding a checkpoint must fail");
@@ -255,6 +227,7 @@ fn restore_into_different_shard_count_is_a_loud_error() {
         &s.world.topology,
         other_cfg,
         &mut Cursor::new(&blob),
+        None,
     )
     .err()
     .expect("config drift must fail");
@@ -268,6 +241,7 @@ fn restore_into_different_shard_count_is_a_loud_error() {
         &s.world.topology,
         cfg.clone(),
         &mut Cursor::new(&torn),
+        None,
     )
     .err()
     .expect("truncated checkpoint must fail");
@@ -276,7 +250,7 @@ fn restore_into_different_shard_count_is_a_loud_error() {
     let mut garbage = blob;
     garbage[0] ^= 0xFF;
     let err =
-        Engine::restore(platform.measured_ip2as(), &s.world.topology, cfg, &mut Cursor::new(&garbage))
+        Engine::restore(platform.measured_ip2as(), &s.world.topology, cfg, &mut Cursor::new(&garbage), None)
             .err()
             .expect("bad magic must fail");
     assert!(matches!(err, RestoreError::Corrupt(_)), "got {err:?}");
@@ -291,7 +265,7 @@ fn checkpoint_bytes_are_deterministic() {
     let (platform, mut ms) = measurements(&s);
     ms.sort_by_key(|m| m.day);
     let cfg = engine_cfg(&platform, ChurnMode::Normal, 2, Some(3));
-    let engine = Engine::with_context(platform.measured_ip2as(), &s.world.topology, cfg.clone());
+    let engine = Engine::with_context(platform.measured_ip2as(), &s.world.topology, cfg.clone(), None);
     for m in &ms[..ms.len() / 2] {
         engine.ingest(m);
     }
@@ -301,7 +275,7 @@ fn checkpoint_bytes_are_deterministic() {
     assert_eq!(a, b, "same state, same bytes");
 
     let restored =
-        Engine::restore(platform.measured_ip2as(), &s.world.topology, cfg, &mut Cursor::new(&a))
+        Engine::restore(platform.measured_ip2as(), &s.world.topology, cfg, &mut Cursor::new(&a), None)
             .expect("restore");
     let mut again = Vec::new();
     restored.engine.checkpoint(7, b"x", &mut again).expect("checkpoint");
@@ -322,14 +296,14 @@ fn compact_drains_outcomes_but_keeps_aggregates_exact() {
 
     let full = {
         let engine =
-            Engine::with_context(platform.measured_ip2as(), &s.world.topology, cfg.clone());
+            Engine::with_context(platform.measured_ip2as(), &s.world.topology, cfg.clone(), None);
         for m in &ms {
             engine.ingest(m);
         }
         engine.finish()
     };
 
-    let engine = Engine::with_context(platform.measured_ip2as(), &s.world.topology, cfg);
+    let engine = Engine::with_context(platform.measured_ip2as(), &s.world.topology, cfg, None);
     let mut drained = Vec::new();
     let mut drained_trivial = 0u64;
     for (i, m) in ms.iter().enumerate() {
@@ -370,4 +344,47 @@ fn compact_drains_outcomes_but_keeps_aggregates_exact() {
         canonical_json(&full_eq),
         "compaction must not change censors, leakage, churn, or trivial counts"
     );
+}
+
+/// A checkpoint blob is outside input: a torn or bit-rotted file must
+/// restore to `Ok` or a typed `RestoreError`, never a panic or an abort.
+/// Every truncation offset and a flipped bit at every byte of a small
+/// checkpoint (150 measurements, two shards, retirement on: ~33 KB).
+#[test]
+fn hostile_checkpoints_restore_or_fail_cleanly() {
+    let s = study(23);
+    let (platform, mut ms) = measurements(&s);
+    ms.sort_by_key(|m| m.day);
+    ms.truncate(150);
+    let cfg = engine_cfg(&platform, ChurnMode::Normal, 2, Some(7));
+    let engine = Engine::with_context(platform.measured_ip2as(), &s.world.topology, cfg.clone(), None);
+    for m in &ms {
+        engine.ingest(m);
+    }
+    let mut blob = Vec::new();
+    engine.checkpoint(ms.len() as u64, b"user", &mut blob).expect("checkpoint");
+    drop(engine.finish());
+    assert!(blob.len() < 64 * 1024, "checkpoint should be small: {} bytes", blob.len());
+
+    let restore = |bytes: &[u8]| {
+        Engine::restore(
+            platform.measured_ip2as(),
+            &s.world.topology,
+            cfg.clone(),
+            &mut Cursor::new(bytes),
+            None,
+        )
+        .map(drop)
+    };
+    restore(&blob).expect("the intact checkpoint restores");
+    for len in 0..blob.len() {
+        assert!(restore(&blob[..len]).is_err(), "truncation at {len} restored");
+    }
+    let mut flipped = blob.clone();
+    for (i, &original) in blob.iter().enumerate() {
+        flipped[i] = original ^ (1 << (i % 8));
+        // Ok or Err are both acceptable; returning at all is the property.
+        let _ = restore(&flipped);
+        flipped[i] = original;
+    }
 }

@@ -1,69 +1,56 @@
 //! Fused sim→engine campaigns are byte-identical to the serial path.
 //!
-//! The tentpole guarantee: `campaign::run_fused` (N generator workers,
-//! each with its own `Engine::feeder`) produces a serialized
+//! The guarantee: `Platform::run_parallel` with an `Engine::feeder` per
+//! generator worker produces a serialized
 //! [`churnlab_core::report::CanonicalReport`] identical to a serial
 //! `Platform::run` feeding the engine one measurement at a time —
 //! across threads {1, 4} × shards {1, 4} × 3 seeds, with and without
 //! the fleet-sampling schedule, and with identical platform-side stats.
 
-use churnlab_bgp::{ChurnConfig, RoutingSim};
-use churnlab_censor::{CensorConfig, CensorshipScenario};
+mod common;
+
+use churnlab_bgp::RoutingSim;
 use churnlab_core::pipeline::PipelineConfig;
-use churnlab_engine::{campaign, Engine, EngineConfig};
-use churnlab_platform::{DatasetStats, Platform, PlatformConfig, PlatformScale};
-use churnlab_topology::{generator, GeneratedWorld, WorldConfig, WorldScale};
+use churnlab_engine::{Engine, EngineConfig};
+use churnlab_platform::{DatasetStats, ParallelRun, Platform};
+use common::{study, Study};
 
-struct Study {
-    world: GeneratedWorld,
-    scenario: CensorshipScenario,
-    platform_cfg: PlatformConfig,
-    churn_cfg: ChurnConfig,
+/// The fused run: every generator worker streams into its own feeder.
+fn run_fused(
+    platform: &Platform<'_>,
+    sim: &RoutingSim<'_>,
+    engine: &Engine<'_>,
+    threads: usize,
+) -> ParallelRun {
+    platform.run_parallel(sim, threads, |_| {
+        let mut feeder = engine.feeder();
+        move |m| feeder.ingest_owned(m)
+    })
 }
 
-fn study(seed: u64) -> Study {
-    let world = generator::generate(&WorldConfig::preset(WorldScale::Smoke, seed));
-    let mut censor_cfg = CensorConfig::scaled_for(world.topology.countries().len());
-    censor_cfg.seed = seed.wrapping_add(2);
-    let platform_cfg = PlatformConfig::preset(PlatformScale::Smoke, seed.wrapping_add(1));
-    censor_cfg.total_days = platform_cfg.total_days;
-    let scenario = CensorshipScenario::generate_for_world(&world, &censor_cfg);
-    let churn_cfg = ChurnConfig {
-        seed: seed.wrapping_add(3),
-        total_days: platform_cfg.total_days,
-        ..ChurnConfig::default()
-    };
-    Study { world, scenario, platform_cfg, churn_cfg }
-}
-
-fn serial_reference(s: &Study) -> (String, DatasetStats) {
-    let platform = Platform::new(&s.world, &s.scenario, s.platform_cfg.clone());
-    let sim = RoutingSim::new(&s.world.topology, &s.churn_cfg);
-    let cfg = PipelineConfig::paper(platform.config().total_days);
-    let engine = Engine::new(&platform, EngineConfig::new(cfg));
-    let stats = platform.run(&sim, |m| engine.ingest_owned(m));
-    let report = engine.finish().canonical_report();
-    (serde_json::to_string(&report).expect("report serializes"), stats)
-}
-
-fn fused(s: &Study, threads: usize, shards: usize) -> (String, DatasetStats) {
-    let platform = Platform::new(&s.world, &s.scenario, s.platform_cfg.clone());
-    let sim = RoutingSim::new(&s.world.topology, &s.churn_cfg);
+/// The campaign's serialized canonical report and stats: fused at
+/// `threads` workers, or the serial `Platform::run` reference for `None`.
+fn campaign(s: &Study, threads: Option<usize>, shards: usize) -> (String, DatasetStats) {
+    let platform = s.platform();
+    let sim = s.sim();
     let cfg = PipelineConfig::paper(platform.config().total_days);
     let engine = Engine::new(&platform, EngineConfig::new(cfg).with_shards(shards));
-    let run = campaign::run_fused(&platform, &sim, &engine, threads);
+    let stats = match threads {
+        None => platform.run(&sim, |m| engine.ingest_owned(m)),
+        Some(threads) => run_fused(&platform, &sim, &engine, threads).stats,
+    };
     let report = engine.finish().canonical_report();
-    (serde_json::to_string(&report).expect("report serializes"), run.stats)
+    (serde_json::to_string(&report).expect("report serializes"), stats)
 }
 
 #[test]
 fn fused_parallel_matches_serial_across_threads_shards_seeds() {
     for seed in [11u64, 12, 13] {
         let s = study(seed);
-        let (serial_report, serial_stats) = serial_reference(&s);
+        let (serial_report, serial_stats) = campaign(&s, None, 0);
         for threads in [1usize, 4] {
             for shards in [1usize, 4] {
-                let (report, stats) = fused(&s, threads, shards);
+                let (report, stats) = campaign(&s, Some(threads), shards);
                 assert_eq!(
                     report, serial_report,
                     "seed={seed} threads={threads} shards={shards}: report diverged"
@@ -82,9 +69,9 @@ fn fused_parallel_matches_serial_under_fleet_sampling() {
     let mut s = study(21);
     s.platform_cfg.fleet_sample = 7;
     s.platform_cfg.tests_per_pair_floor = 2;
-    let (serial_report, serial_stats) = serial_reference(&s);
+    let (serial_report, serial_stats) = campaign(&s, None, 0);
     for threads in [1usize, 3] {
-        let (report, stats) = fused(&s, threads, 4);
+        let (report, stats) = campaign(&s, Some(threads), 4);
         assert_eq!(report, serial_report, "threads={threads}: sampled report diverged");
         assert_eq!(stats, serial_stats, "threads={threads}: sampled stats diverged");
     }
@@ -98,11 +85,11 @@ fn fused_parallel_matches_serial_under_fleet_sampling() {
 #[test]
 fn fused_busy_accounting_covers_every_worker() {
     let s = study(31);
-    let platform = Platform::new(&s.world, &s.scenario, s.platform_cfg.clone());
-    let sim = RoutingSim::new(&s.world.topology, &s.churn_cfg);
+    let platform = s.platform();
+    let sim = s.sim();
     let cfg = PipelineConfig::paper(platform.config().total_days);
     let engine = Engine::new(&platform, EngineConfig::new(cfg).with_shards(2));
-    let run = campaign::run_fused(&platform, &sim, &engine, 3);
+    let run = run_fused(&platform, &sim, &engine, 3);
     drop(engine.finish());
     assert_eq!(run.busy.per_worker_nanos.len(), 3);
     assert!(run.busy.total_nanos() > 0);

@@ -4,13 +4,12 @@
 //! per-cell tallies sum to the report's outcome and trivial-instance
 //! counts, and the live `churnlab_windows_open` gauge returns to zero.
 
-use churnlab_bgp::{ChurnConfig, RoutingSim};
-use churnlab_censor::{CensorConfig, CensorshipScenario};
+mod common;
+
 use churnlab_core::pipeline::PipelineConfig;
 use churnlab_engine::{Engine, EngineConfig, EngineObs};
 use churnlab_obs::{parse_jsonl, Journal, JournalEvent, MemorySink, Registry};
-use churnlab_platform::{Platform, PlatformConfig, PlatformScale};
-use churnlab_topology::{generator, WorldConfig, WorldScale};
+use common::study;
 
 fn events_named<'a>(events: &'a [JournalEvent], name: &str) -> Vec<&'a JournalEvent> {
     events.iter().filter(|e| e.event == name).collect()
@@ -18,26 +17,13 @@ fn events_named<'a>(events: &'a [JournalEvent], name: &str) -> Vec<&'a JournalEv
 
 #[test]
 fn journal_reconciles_with_final_report() {
-    let seed = 7;
-    let world = generator::generate(&WorldConfig::preset(WorldScale::Smoke, seed));
-    let mut censor_cfg = CensorConfig::scaled_for(world.topology.countries().len());
-    censor_cfg.seed = seed.wrapping_add(2);
-    let platform_cfg = PlatformConfig::preset(PlatformScale::Smoke, seed.wrapping_add(1));
-    censor_cfg.total_days = platform_cfg.total_days;
-    let scenario = CensorshipScenario::generate_for_world(&world, &censor_cfg);
-    let churn_cfg = ChurnConfig {
-        seed: seed.wrapping_add(3),
-        total_days: platform_cfg.total_days,
-        ..ChurnConfig::default()
-    };
-    let platform = Platform::new(&world, &scenario, platform_cfg.clone());
-    let sim = RoutingSim::new(&world.topology, &churn_cfg);
-    let (measurements, _) = platform.run_collect(&sim);
+    let s = study(7);
+    let (platform, measurements) = common::measurements(&s);
 
     let sink = MemorySink::new();
     let registry = Registry::new();
     let obs = EngineObs::new(registry.clone()).with_journal(Journal::to_writer(sink.clone()));
-    let cfg = EngineConfig::new(PipelineConfig::paper(platform_cfg.total_days)).with_shards(3);
+    let cfg = EngineConfig::new(PipelineConfig::paper(s.platform_cfg.total_days)).with_shards(3);
     let engine = Engine::new_with_obs(&platform, cfg, obs);
 
     // A mid-stream snapshot must NOT close windows: only the final
@@ -112,21 +98,8 @@ fn journal_reconciles_with_final_report() {
 /// zero.
 #[test]
 fn journal_reconciles_with_midstream_retirement() {
-    let seed = 13;
-    let world = generator::generate(&WorldConfig::preset(WorldScale::Smoke, seed));
-    let mut censor_cfg = CensorConfig::scaled_for(world.topology.countries().len());
-    censor_cfg.seed = seed.wrapping_add(2);
-    let platform_cfg = PlatformConfig::preset(PlatformScale::Smoke, seed.wrapping_add(1));
-    censor_cfg.total_days = platform_cfg.total_days;
-    let scenario = CensorshipScenario::generate_for_world(&world, &censor_cfg);
-    let churn_cfg = ChurnConfig {
-        seed: seed.wrapping_add(3),
-        total_days: platform_cfg.total_days,
-        ..ChurnConfig::default()
-    };
-    let platform = Platform::new(&world, &scenario, platform_cfg.clone());
-    let sim = RoutingSim::new(&world.topology, &churn_cfg);
-    let (mut measurements, _) = platform.run_collect(&sim);
+    let s = study(13);
+    let (platform, mut measurements) = common::measurements(&s);
     // Retirement needs an advancing watermark: feed in day order, the
     // shape a live deployment's stream has.
     measurements.sort_by_key(|m| m.day);
@@ -134,7 +107,7 @@ fn journal_reconciles_with_midstream_retirement() {
     let sink = MemorySink::new();
     let registry = Registry::new();
     let obs = EngineObs::new(registry.clone()).with_journal(Journal::to_writer(sink.clone()));
-    let cfg = EngineConfig::new(PipelineConfig::paper(platform_cfg.total_days))
+    let cfg = EngineConfig::new(PipelineConfig::paper(s.platform_cfg.total_days))
         .with_shards(3)
         .with_window_horizon(2);
     let engine = Engine::new_with_obs(&platform, cfg, obs);

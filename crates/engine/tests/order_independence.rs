@@ -4,45 +4,16 @@
 //! to the batch [`Pipeline`] fed the platform runner's URL-grouped order
 //! — across seeds, shard counts, churn modes, and concurrent feeders.
 
-use churnlab_bgp::{ChurnConfig, RoutingSim};
-use churnlab_censor::{CensorConfig, CensorshipScenario};
+mod common;
+
 use churnlab_core::pipeline::{ChurnMode, Pipeline, PipelineConfig, PipelineResults};
 use churnlab_engine::{Engine, EngineConfig};
-use churnlab_platform::{Measurement, Platform, PlatformConfig, PlatformScale};
-use churnlab_topology::{generator, GeneratedWorld, WorldConfig, WorldScale};
+use churnlab_platform::{Measurement, Platform};
+use common::{measurements, study};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-
-struct Study {
-    world: GeneratedWorld,
-    scenario: CensorshipScenario,
-    platform_cfg: PlatformConfig,
-    churn_cfg: ChurnConfig,
-}
-
-fn study(seed: u64) -> Study {
-    let world = generator::generate(&WorldConfig::preset(WorldScale::Smoke, seed));
-    let mut censor_cfg = CensorConfig::scaled_for(world.topology.countries().len());
-    censor_cfg.seed = seed.wrapping_add(2);
-    let platform_cfg = PlatformConfig::preset(PlatformScale::Smoke, seed.wrapping_add(1));
-    censor_cfg.total_days = platform_cfg.total_days;
-    let scenario = CensorshipScenario::generate_for_world(&world, &censor_cfg);
-    let churn_cfg = ChurnConfig {
-        seed: seed.wrapping_add(3),
-        total_days: platform_cfg.total_days,
-        ..ChurnConfig::default()
-    };
-    Study { world, scenario, platform_cfg, churn_cfg }
-}
-
-fn measurements(s: &Study) -> (Platform<'_>, Vec<Measurement>) {
-    let platform = Platform::new(&s.world, &s.scenario, s.platform_cfg.clone());
-    let sim = RoutingSim::new(&s.world.topology, &s.churn_cfg);
-    let (ms, _) = platform.run_collect(&sim);
-    (platform, ms)
-}
 
 fn pipeline_results(
     platform: &Platform<'_>,

@@ -48,11 +48,12 @@ pub fn export_study<W: Write>(
 ) -> std::io::Result<(u64, DatasetStats)> {
     let mut records = 0u64;
     let mut err: Option<std::io::Error> = None;
-    let stats = platform.run_with_domains(sim, |m, domain| {
+    let corpus = platform.corpus();
+    let stats = platform.run(sim, |m| {
         if err.is_some() {
             return;
         }
-        let rec = NativeRecord::from_measurement(&m, domain);
+        let rec = NativeRecord::from_measurement(&m, &corpus.get(m.url_id).domain);
         let line = serde_json::to_string(&rec).expect("NativeRecord always serializes");
         let result = w.write_all(line.as_bytes()).and_then(|()| w.write_all(b"\n"));
         match result {

@@ -76,6 +76,7 @@ fn replayed_dump_matches_direct_run_byte_identically() {
                 platform.measured_ip2as(),
                 &s.world.topology,
                 EngineConfig::new(cfg.clone()).with_shards(shards),
+                None,
             );
             let report = replay_jsonl(&shuffled[..], &engine, 3, ReplayFormat::Native).unwrap();
             let got = engine.finish().canonical_report().to_json();
@@ -112,6 +113,7 @@ fn replay_feeders_account_for_interning_exactly() {
             platform.measured_ip2as(),
             &s.world.topology,
             EngineConfig::new(cfg.clone()).with_shards(2),
+            None,
         );
         replay_jsonl(&dump[..], &engine, feeders, ReplayFormat::Native).unwrap();
         let (_, stats) = engine.finish_with_stats();
@@ -171,6 +173,7 @@ fn dirty_dump_replays_identically_with_exact_accounting() {
         platform.measured_ip2as(),
         &s.world.topology,
         EngineConfig::new(cfg.clone()).with_shards(2),
+        None,
     );
     replay_jsonl(&dump[..], &clean_engine, 2, ReplayFormat::Native).unwrap();
     let clean = clean_engine.finish().canonical_report().to_json();
@@ -179,13 +182,14 @@ fn dirty_dump_replays_identically_with_exact_accounting() {
         platform.measured_ip2as(),
         &s.world.topology,
         EngineConfig::new(cfg.clone()).with_shards(2),
+        None,
     );
     let report = replay_jsonl(dirty.as_bytes(), &dirty_engine, 4, ReplayFormat::Native).unwrap();
     assert_eq!(report.stats.ok, records);
     assert_eq!(report.stats.malformed, injected * 2, "two malformed lines per injection");
     assert_eq!(report.stats.blank, injected);
     assert_eq!(replay_jsonl(dirty.as_bytes(), // sequential baseline: same accounting
-        &Engine::with_context(platform.measured_ip2as(), &s.world.topology, EngineConfig::new(cfg.clone()).with_shards(1)),
+        &Engine::with_context(platform.measured_ip2as(), &s.world.topology, EngineConfig::new(cfg.clone()).with_shards(1), None),
         1, ReplayFormat::Native).unwrap().stats, report.stats);
     let got = dirty_engine.finish().canonical_report().to_json();
     assert_eq!(got, clean, "garbage lines must not perturb the report");
@@ -248,6 +252,7 @@ fn ooni_dialect_replays_through_the_engine() {
         &db,
         &topo,
         EngineConfig::new(PipelineConfig::paper(9)).with_shards(2),
+        None,
     );
     let report = replay_jsonl(dump.as_bytes(), &engine, 2, ReplayFormat::Ooni).unwrap();
     assert_eq!(report.stats.ok, 9, "unknown-verdict record is kept");
@@ -276,7 +281,10 @@ fn fused_parallel_run_matches_export_replay_path() {
 
     // Fused: 4 generator workers feeding a 4-shard engine in memory.
     let engine = Engine::new(&platform, EngineConfig::new(cfg.clone()).with_shards(4));
-    let run = churnlab_engine::campaign::run_fused(&platform, &sim, &engine, 4);
+    let run = platform.run_parallel(&sim, 4, |_| {
+        let mut feeder = engine.feeder();
+        move |m| feeder.ingest_owned(m)
+    });
     let fused = engine.finish().canonical_report().to_json();
 
     // Serial export to JSONL, then multi-feeder replay into a fresh
@@ -288,9 +296,45 @@ fn fused_parallel_run_matches_export_replay_path() {
         platform.measured_ip2as(),
         &s.world.topology,
         EngineConfig::new(cfg).with_shards(2),
+        None,
     );
     let report = replay_jsonl(&dump[..], &engine, 2, ReplayFormat::Native).unwrap();
     assert_eq!(report.stats.ok, records);
     let replayed = engine.finish().canonical_report().to_json();
     assert_eq!(fused, replayed, "fused in-memory report diverged from export/replay");
+}
+
+/// A hostile line nested 100,000 arrays deep is one malformed record,
+/// not a stack overflow: the JSON parser's depth cap turns it into a
+/// parse error, and the rest of the stream replays to the same report.
+#[test]
+fn deeply_nested_line_counts_as_malformed() {
+    let s = study(7);
+    let platform = Platform::new(&s.world, &s.scenario, s.platform_cfg.clone());
+    let sim = RoutingSim::new(&s.world.topology, &s.churn_cfg);
+    let cfg = PipelineConfig::paper(s.platform_cfg.total_days);
+    let mut dump = Vec::new();
+    export_study(&platform, &sim, &mut dump).unwrap();
+    let cut = dump.len() / 2 + dump[dump.len() / 2..].iter().position(|&b| b == b'\n').unwrap() + 1;
+    let mut mixed = dump[..cut].to_vec();
+    mixed.extend_from_slice(&[b'['; 100_000]);
+    mixed.push(b'\n');
+    mixed.extend_from_slice(&dump[cut..]);
+
+    let replay = |input: &[u8]| {
+        let engine = Engine::with_context(
+            platform.measured_ip2as(),
+            &s.world.topology,
+            EngineConfig::new(cfg.clone()).with_shards(2),
+            None,
+        );
+        let report = replay_jsonl(input, &engine, 2, ReplayFormat::Native).unwrap();
+        (report.stats, engine.finish().canonical_report().digest())
+    };
+    let (clean_stats, clean_digest) = replay(&dump);
+    let (stats, digest) = replay(&mixed);
+    assert_eq!(clean_stats.malformed, 0);
+    assert_eq!(stats.malformed, 1, "the nested line must count as malformed");
+    assert_eq!(stats.ok, clean_stats.ok);
+    assert_eq!(digest, clean_digest, "the hostile line must not change the report");
 }

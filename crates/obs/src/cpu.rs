@@ -14,6 +14,7 @@
 //! parse.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Instant;
 
 /// Process-wide test override: when set, [`thread_cpu_nanos`] reports
 /// the clock as unavailable, forcing every consumer down its wall-clock
@@ -45,6 +46,39 @@ pub fn thread_cpu_nanos() -> Option<u64> {
     }
     let text = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
     parse_schedstat(&text)
+}
+
+/// The start of a busy-time measurement: the calling thread's on-CPU
+/// reading where the clock exists, plus a wall instant for the fallback.
+/// Every busy figure in the workspace (runner workers, the engine merge,
+/// [`crate::Span`]) is one of these, so "on-CPU delta, else wall
+/// interval" is decided in one place.
+#[derive(Debug, Clone, Copy)]
+pub struct BusyStart {
+    cpu0: Option<u64>,
+    wall0: Instant,
+}
+
+impl BusyStart {
+    /// Mark now, on the on-CPU clock where it exists.
+    pub fn now() -> BusyStart {
+        BusyStart { cpu0: thread_cpu_nanos(), wall0: Instant::now() }
+    }
+
+    /// Mark now on the wall clock only.
+    pub fn wall() -> BusyStart {
+        BusyStart { cpu0: None, wall0: Instant::now() }
+    }
+
+    /// Nanoseconds since the mark, and whether they are on-CPU time
+    /// (`true`) or the wall fallback (`false`). Call on the marking
+    /// thread: the on-CPU reading is per thread.
+    pub fn elapsed(&self) -> (u64, bool) {
+        match self.cpu0.and_then(|c0| Some(thread_cpu_nanos()?.saturating_sub(c0))) {
+            Some(cpu) => (cpu, true),
+            None => (self.wall0.elapsed().as_nanos() as u64, false),
+        }
+    }
 }
 
 /// A reusable handle on the calling thread's on-CPU clock: the
@@ -151,6 +185,15 @@ mod tests {
         assert_eq!(CpuClock::detect().now(), None, "detect under override");
         assert_eq!(live.now(), None, "override applies to open handles too");
         force_wall_clock_for_tests(false);
+    }
+
+    #[test]
+    fn wall_busy_start_counts_wall_time() {
+        let wall = BusyStart::wall();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let (nanos, on_cpu) = wall.elapsed();
+        assert!(!on_cpu);
+        assert!(nanos >= 2_000_000, "a wall mark counts sleeping time: {nanos}");
     }
 
     #[test]

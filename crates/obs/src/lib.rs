@@ -41,7 +41,7 @@ pub mod rss;
 pub mod snapshot;
 pub mod span;
 
-pub use cpu::{force_wall_clock_for_tests, parse_schedstat, thread_cpu_nanos, CpuClock};
+pub use cpu::{force_wall_clock_for_tests, parse_schedstat, thread_cpu_nanos, BusyStart, CpuClock};
 pub use rss::rss_bytes;
 pub use journal::{parse_jsonl, Journal, JournalEvent, MemorySink};
 pub use metrics::{Counter, Gauge, Histogram, Registry};

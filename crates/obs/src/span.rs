@@ -19,37 +19,31 @@
 //!   fallback is testable via
 //!   [`crate::cpu::force_wall_clock_for_tests`].
 
-use crate::cpu::{thread_cpu_nanos, CpuClock};
+use crate::cpu::{thread_cpu_nanos, BusyStart, CpuClock};
 use crate::metrics::Counter;
 use std::time::Instant;
 
 /// RAII phase timer: attributes its lifetime to a counter on drop.
 pub struct Span<'a> {
     counter: &'a Counter,
-    wall0: Instant,
-    /// `Some` = CPU mode (schedstat at construction); `None` = wall mode.
-    cpu0: Option<u64>,
+    start: BusyStart,
 }
 
 impl<'a> Span<'a> {
     /// On-CPU span (falls back to wall time where schedstat is absent).
     pub fn cpu(counter: &'a Counter) -> Span<'a> {
-        Span { counter, wall0: Instant::now(), cpu0: thread_cpu_nanos() }
+        Span { counter, start: BusyStart::now() }
     }
 
     /// Wall-clock span.
     pub fn wall(counter: &'a Counter) -> Span<'a> {
-        Span { counter, wall0: Instant::now(), cpu0: None }
+        Span { counter, start: BusyStart::wall() }
     }
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        let nanos = match self.cpu0.and_then(|c0| Some(thread_cpu_nanos()?.saturating_sub(c0))) {
-            Some(cpu) => cpu,
-            None => self.wall0.elapsed().as_nanos() as u64,
-        };
-        self.counter.add(nanos);
+        self.counter.add(self.start.elapsed().0);
     }
 }
 

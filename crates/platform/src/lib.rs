@@ -38,7 +38,6 @@ pub mod anomaly;
 pub mod detect;
 pub mod measurement;
 pub mod noise;
-pub mod obs;
 pub mod runner;
 pub mod schedule;
 pub mod stats;
@@ -48,7 +47,6 @@ pub mod vantage;
 pub use anomaly::{AnomalySet, AnomalyType};
 pub use measurement::{Measurement, TracerouteRecord};
 pub use noise::NoiseConfig;
-pub use obs::CampaignObs;
 pub use runner::{CampaignBusy, ParallelRun, Platform, PlatformConfig, PlatformScale};
 pub use schedule::{FleetSchedule, UrlFleetPlan};
 pub use stats::DatasetStats;

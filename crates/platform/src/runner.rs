@@ -15,12 +15,17 @@
 //!
 //! Measurements stream to a sink (the paper-scale run produces millions of
 //! records; holding them all is the *caller's* choice).
+//!
+//! [`Platform::run_parallel`] is the one campaign runner; its per-worker
+//! sinks are whatever the caller needs (an engine feeder for a fused
+//! simulate→tomography run, a JSONL writer, a counter). The serial
+//! [`Platform::run`] remains because it alone accepts a non-`Send`
+//! `FnMut` sink, which the batch `Pipeline`'s `&mut` ingest needs.
 
 use crate::anomaly::{AnomalySet, AnomalyType};
 use crate::detect;
 use crate::measurement::{Measurement, TracerouteRecord};
 use crate::noise::NoiseConfig;
-use crate::obs::{CampaignObs, CampaignWorkerObs};
 use crate::schedule::FleetSchedule;
 use crate::stats::{DatasetStats, StatsAccumulator};
 use crate::urls::{UrlCorpus, UrlEntry};
@@ -37,8 +42,6 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
 
 /// Reusable AS-path buffers for the measurement loop: one campaign runs
 /// millions of tests, and the routing layer can fill paths in place
@@ -373,7 +376,6 @@ impl<'w> Platform<'w> {
         url: &UrlEntry,
         schedule: &FleetSchedule,
         ctx: &mut WorkerCtx,
-        obs: Option<&CampaignWorkerObs>,
         sink: &mut impl FnMut(Measurement),
     ) {
         let interval = self.cfg.testing_interval_days();
@@ -395,11 +397,6 @@ impl<'w> Platform<'w> {
                 continue;
             }
             plan.day_subset_into(day / interval, &mut ctx.day_vps);
-            if let Some(o) = obs {
-                o.scheduled.add(ctx.day_vps.len() as u64 * u64::from(k));
-                o.sampled_out
-                    .add((schedule.fleet() - ctx.day_vps.len()) as u64 * u64::from(k));
-            }
             let mut rng = StdRng::seed_from_u64(mix64(
                 self.cfg.seed ^ (u64::from(url.id) << 32) ^ u64::from(day),
             ));
@@ -413,9 +410,6 @@ impl<'w> Platform<'w> {
                     let slot = rng.gen_range(seg.0..seg.1.min(epochs_per_day));
                     let m = self.run_test(sim, vp, url.id, day, slot, &mut rng, &mut ctx.paths);
                     ctx.acc.add(&m);
-                    if let Some(o) = obs {
-                        o.run.inc();
-                    }
                     sink(m);
                 }
             }
@@ -430,7 +424,7 @@ impl<'w> Platform<'w> {
         // no per-measurement Vec).
         let mut ctx = WorkerCtx::default();
         for url in self.corpus.entries() {
-            self.run_url_campaign(sim, url, &schedule, &mut ctx, None, &mut sink);
+            self.run_url_campaign(sim, url, &schedule, &mut ctx, &mut sink);
         }
         ctx.acc.finish(&self.world.topology)
     }
@@ -445,22 +439,25 @@ impl<'w> Platform<'w> {
     /// produces exactly the serial run's records, partitioned.
     ///
     /// `threads == 0` means one worker per available core.
+    ///
+    /// A fused simulate→tomography campaign is this runner with an
+    /// engine feeder per worker — no JSONL intermediate, generation and
+    /// solving overlapping on the same machine:
+    ///
+    /// ```ignore
+    /// let run = platform.run_parallel(&sim, threads, |_| {
+    ///     let mut feeder = engine.feeder();
+    ///     move |m| feeder.ingest_owned(m)
+    /// });
+    /// ```
+    ///
+    /// Its `CanonicalReport` is byte-identical to a serial
+    /// [`Platform::run`] feeding a single-threaded engine. That rests on
+    /// two properties: the reseeding above makes the parallel measurement
+    /// *set* exactly the serial one, and the engine is order-independent
+    /// under multi-producer ingest. `crates/engine/tests/fused_campaign.rs`
+    /// pins it across thread × shard × seed grids.
     pub fn run_parallel<S, F>(&self, sim: &RoutingSim, threads: usize, make_sink: F) -> ParallelRun
-    where
-        F: Fn(usize) -> S + Sync,
-        S: FnMut(Measurement) + Send,
-    {
-        self.run_parallel_obs(sim, threads, None, make_sink)
-    }
-
-    /// [`Platform::run_parallel`] with campaign counters attached.
-    pub fn run_parallel_obs<S, F>(
-        &self,
-        sim: &RoutingSim,
-        threads: usize,
-        obs: Option<&CampaignObs>,
-        make_sink: F,
-    ) -> ParallelRun
     where
         F: Fn(usize) -> S + Sync,
         S: FnMut(Measurement) + Send,
@@ -480,34 +477,19 @@ impl<'w> Platform<'w> {
                     let next = &next;
                     let make_sink = &make_sink;
                     scope.spawn(move || {
-                        let wall0 = Instant::now();
-                        let cpu0 = churnlab_obs::thread_cpu_nanos();
+                        let start = churnlab_obs::BusyStart::now();
                         let mut sink = make_sink(w);
-                        let wobs = obs.map(|o| o.worker(w));
                         let mut ctx = WorkerCtx::default();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
                             let Some(url) = entries.get(i) else { break };
-                            self.run_url_campaign(
-                                sim,
-                                url,
-                                schedule,
-                                &mut ctx,
-                                wobs.as_ref(),
-                                &mut sink,
-                            );
+                            self.run_url_campaign(sim, url, schedule, &mut ctx, &mut sink);
                         }
                         // Flush buffering sinks (e.g. engine feeders)
                         // before the clock stops: the flush is part of
                         // this worker's generation work.
                         drop(sink);
-                        let (busy, cpu_clock) = match (cpu0, churnlab_obs::thread_cpu_nanos()) {
-                            (Some(a), Some(b)) => (b.saturating_sub(a), true),
-                            _ => (wall0.elapsed().as_nanos() as u64, false),
-                        };
-                        if let Some(o) = &wobs {
-                            o.busy.add(busy);
-                        }
+                        let (busy, cpu_clock) = start.elapsed();
                         (ctx.acc, busy, cpu_clock)
                     })
                 })
@@ -524,55 +506,11 @@ impl<'w> Platform<'w> {
         })
     }
 
-    /// Run the full measurement campaign, handing each measurement to
-    /// `sink` together with its tested domain — the export hook: a record
-    /// written from this sink is self-contained (interpretable without
-    /// the generating corpus), which is what interchange dumps need.
-    pub fn run_with_domains(
-        &self,
-        sim: &RoutingSim,
-        mut sink: impl FnMut(Measurement, &str),
-    ) -> DatasetStats {
-        let corpus = &self.corpus;
-        self.run(sim, move |m| {
-            let domain = &corpus.get(m.url_id).domain;
-            sink(m, domain)
-        })
-    }
-
     /// Run the campaign and collect everything (small scales only).
     pub fn run_collect(&self, sim: &RoutingSim) -> (Vec<Measurement>, DatasetStats) {
         let mut out = Vec::new();
         let stats = self.run(sim, |m| out.push(m));
         (out, stats)
-    }
-
-    /// Parallel [`Platform::run_collect`], deterministic regardless of
-    /// worker interleaving: each URL's stream lands in its own slot
-    /// (URL ids are dense corpus indices, and one worker owns a URL at a
-    /// time), slots are flattened in corpus order, and the result is
-    /// stable-sorted by (url, day, vantage, slot) as the documented
-    /// ordering contract. Equal to [`Platform::run_collect`]'s output for
-    /// any thread count.
-    pub fn run_collect_parallel(
-        &self,
-        sim: &RoutingSim,
-        threads: usize,
-    ) -> (Vec<Measurement>, DatasetStats) {
-        let slots: Vec<Mutex<Vec<Measurement>>> =
-            (0..self.corpus.len()).map(|_| Mutex::new(Vec::new())).collect();
-        let slots_ref = &slots;
-        let run = self.run_parallel(sim, threads, move |_| {
-            move |m: Measurement| {
-                slots_ref[m.url_id as usize].lock().expect("collect slot poisoned").push(m)
-            }
-        });
-        let mut out = Vec::new();
-        for slot in slots {
-            out.extend(slot.into_inner().expect("collect slot poisoned"));
-        }
-        out.sort_by_key(|m| (m.url_id, m.day, m.vp_id, m.epoch));
-        (out, run.stats)
     }
 
     /// Execute one test.
@@ -756,13 +694,18 @@ mod tests {
         ChurnConfig { total_days, ..ChurnConfig::default() }
     }
 
-    #[test]
-    fn smoke_run_produces_measurements() {
+    fn smoke_setup(seed: u64) -> (Setup, CensorshipScenario, PlatformConfig) {
         let s = world();
         let mut ccfg = CensorConfig::scaled_for(s.world.topology.countries().len());
         ccfg.total_days = 60;
         let scenario = CensorshipScenario::generate_for_world(&s.world, &ccfg);
-        let pcfg = PlatformConfig::preset(PlatformScale::Smoke, 5);
+        let pcfg = PlatformConfig::preset(PlatformScale::Smoke, seed);
+        (s, scenario, pcfg)
+    }
+
+    #[test]
+    fn smoke_run_produces_measurements() {
+        let (s, scenario, pcfg) = smoke_setup(5);
         let platform = Platform::new(&s.world, &scenario, pcfg.clone());
         let sim = RoutingSim::new(&s.world.topology, &churn_cfg(pcfg.total_days));
         let (ms, stats) = platform.run_collect(&sim);
@@ -777,11 +720,7 @@ mod tests {
 
     #[test]
     fn run_is_deterministic() {
-        let s = world();
-        let mut ccfg = CensorConfig::scaled_for(s.world.topology.countries().len());
-        ccfg.total_days = 60;
-        let scenario = CensorshipScenario::generate_for_world(&s.world, &ccfg);
-        let pcfg = PlatformConfig::preset(PlatformScale::Smoke, 5);
+        let (s, scenario, pcfg) = smoke_setup(5);
         let platform = Platform::new(&s.world, &scenario, pcfg.clone());
         let sim = RoutingSim::new(&s.world.topology, &churn_cfg(pcfg.total_days));
         let (a, _) = platform.run_collect(&sim);
@@ -839,13 +778,26 @@ mod tests {
         }
     }
 
-    fn smoke_setup(seed: u64) -> (Setup, CensorshipScenario, PlatformConfig) {
-        let s = world();
-        let mut ccfg = CensorConfig::scaled_for(s.world.topology.countries().len());
-        ccfg.total_days = 60;
-        let scenario = CensorshipScenario::generate_for_world(&s.world, &ccfg);
-        let pcfg = PlatformConfig::preset(PlatformScale::Smoke, seed);
-        (s, scenario, pcfg)
+    /// [`Platform::run_parallel`] collected into one stream, sorted into
+    /// the serial runner's (url, day, vantage, slot) order: each URL's
+    /// records land in the URL's own slot (one worker owns a URL at a
+    /// time), slots flatten in corpus order, and a stable sort orders
+    /// each URL's stream.
+    fn collect_parallel(
+        platform: &Platform<'_>,
+        sim: &RoutingSim,
+        threads: usize,
+    ) -> (Vec<Measurement>, DatasetStats) {
+        let slots: Vec<std::sync::Mutex<Vec<Measurement>>> =
+            (0..platform.corpus().len()).map(|_| Default::default()).collect();
+        let slots_ref = &slots;
+        let run = platform.run_parallel(sim, threads, move |_| {
+            move |m: Measurement| slots_ref[m.url_id as usize].lock().unwrap().push(m)
+        });
+        let mut out: Vec<Measurement> =
+            slots.into_iter().flat_map(|slot| slot.into_inner().unwrap()).collect();
+        out.sort_by_key(|m| (m.url_id, m.day, m.vp_id, m.epoch));
+        (out, run.stats)
     }
 
     #[test]
@@ -855,7 +807,7 @@ mod tests {
         let sim = RoutingSim::new(&s.world.topology, &churn_cfg(pcfg.total_days));
         let (serial, serial_stats) = platform.run_collect(&sim);
         for threads in [1, 4] {
-            let (par, par_stats) = platform.run_collect_parallel(&sim, threads);
+            let (par, par_stats) = collect_parallel(&platform, &sim, threads);
             assert_eq!(par, serial, "threads={threads}");
             assert_eq!(par_stats, serial_stats, "threads={threads}");
         }
@@ -869,7 +821,7 @@ mod tests {
         let platform = Platform::new(&s.world, &scenario, pcfg.clone());
         let sim = RoutingSim::new(&s.world.topology, &churn_cfg(pcfg.total_days));
         let (serial, serial_stats) = platform.run_collect(&sim);
-        let (par, par_stats) = platform.run_collect_parallel(&sim, 3);
+        let (par, par_stats) = collect_parallel(&platform, &sim, 3);
         assert_eq!(par, serial);
         assert_eq!(par_stats, serial_stats);
     }
@@ -931,37 +883,6 @@ mod tests {
         assert_eq!(run.busy.per_worker_nanos.len(), 2);
         assert!(run.busy.total_nanos() > 0);
         assert_eq!(counted.load(Ordering::Relaxed), run.stats.measurements);
-    }
-
-    #[test]
-    fn campaign_counters_account_for_every_scheduled_test() {
-        let (s, scenario, mut pcfg) = smoke_setup(11);
-        pcfg.fleet_sample = 5;
-        pcfg.tests_per_pair_floor = 2;
-        let platform = Platform::new(&s.world, &scenario, pcfg.clone());
-        let sim = RoutingSim::new(&s.world.topology, &churn_cfg(pcfg.total_days));
-        let registry = churnlab_obs::Registry::new();
-        let obs = CampaignObs::new(&registry);
-        let run = platform.run_parallel_obs(&sim, 2, Some(&obs), |_| |_m| {});
-        let text = churnlab_obs::render_prometheus(&registry.scrape());
-        let value = |name: &str| -> u64 {
-            text.lines()
-                .filter(|l| l.starts_with(name) && !l.starts_with('#'))
-                .map(|l| {
-                    l.rsplit(' ').next().expect("prometheus sample").parse::<u64>().expect("u64")
-                })
-                .sum()
-        };
-        // Every scheduled test executes (failed routes still produce a
-        // record), and sampling must have left some of the fleet out.
-        let run_total = value("churnlab_campaign_tests_run_total");
-        assert_eq!(run_total, run.stats.measurements);
-        assert_eq!(value("churnlab_campaign_tests_scheduled_total"), run_total);
-        assert!(value("churnlab_campaign_tests_sampled_out_total") > 0);
-        // Per-worker busy attribution reached the registry too.
-        assert!(text.contains("churnlab_campaign_worker_busy_nanos_total{worker=\"0\"}"));
-        assert!(text.contains("churnlab_campaign_worker_busy_nanos_total{worker=\"1\"}"));
-        assert_eq!(value("churnlab_campaign_worker_busy_nanos_total"), run.busy.total_nanos());
     }
 
     #[test]

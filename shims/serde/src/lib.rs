@@ -626,7 +626,7 @@ pub mod text {
     /// Parse JSON text into a [`Value`].
     pub fn parse(input: &str) -> Result<Value, super::Error> {
         let bytes = input.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser { bytes, pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -636,9 +636,16 @@ pub mod text {
         Ok(v)
     }
 
+    /// Deepest array/object nesting [`parse`] accepts (serde_json's
+    /// default). Past it the parser returns an error instead of
+    /// recursing, so a hostile line of `[[[[…` cannot overflow the stack.
+    pub const MAX_DEPTH: usize = 128;
+
     struct Parser<'a> {
         bytes: &'a [u8],
         pos: usize,
+        /// Arrays/objects currently open.
+        depth: usize,
     }
 
     impl Parser<'_> {
@@ -680,11 +687,26 @@ pub mod text {
                 Some(b't') => self.literal("true", Value::Bool(true)),
                 Some(b'f') => self.literal("false", Value::Bool(false)),
                 Some(b'"') => self.string().map(Value::Str),
-                Some(b'[') => self.array(),
-                Some(b'{') => self.object(),
+                Some(b'[') => self.nested(Self::array),
+                Some(b'{') => self.nested(Self::object),
                 Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
                 _ => Err(self.err("unexpected character")),
             }
+        }
+
+        /// Parse one array or object one level deeper, refusing to pass
+        /// [`MAX_DEPTH`].
+        fn nested(
+            &mut self,
+            container: fn(&mut Self) -> Result<Value, super::Error>,
+        ) -> Result<Value, super::Error> {
+            if self.depth == MAX_DEPTH {
+                return Err(self.err("recursion limit exceeded"));
+            }
+            self.depth += 1;
+            let v = container(self);
+            self.depth -= 1;
+            v
         }
 
         fn array(&mut self) -> Result<Value, super::Error> {
@@ -866,6 +888,17 @@ mod tests {
         assert_eq!(text::parse(&text).unwrap(), v);
         let pretty = text::encode_pretty(&v);
         assert_eq!(text::parse(&pretty).unwrap(), v);
+    }
+
+    #[test]
+    fn nesting_is_capped_not_recursed_into_a_stack_overflow() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(text::parse(&nest(text::MAX_DEPTH)).is_ok());
+        let err = text::parse(&nest(text::MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        // Unbalanced hostile input far past the cap fails the same way.
+        assert!(text::parse(&"[".repeat(100_000)).is_err());
+        assert!(text::parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]
