@@ -325,19 +325,19 @@ impl FlowSimulator {
         let lost_index = if cfg.organic_loss && chunks.len() > 1 { Some(chunks.len() / 2) } else { None };
         let mut deferred: Option<(u32, Vec<u8>)> = None;
         for (i, chunk) in chunks.iter().enumerate() {
-            let seg = TcpSegment {
-                src_port: 80,
-                dst_port: sport,
-                seq,
-                ack: next_client_seq,
-                flags: TcpFlags::PSH | TcpFlags::ACK,
-                window: 65535,
-                payload: chunk.to_vec(),
-            };
             if lost_index == Some(i) {
                 // Lost in transit: remember for retransmission.
                 deferred = Some((seq, chunk.to_vec()));
             } else {
+                let seg = TcpSegment {
+                    src_port: 80,
+                    dst_port: sport,
+                    seq,
+                    ack: next_client_seq,
+                    flags: TcpFlags::PSH | TcpFlags::ACK,
+                    window: 65535,
+                    payload: chunk.to_vec(),
+                };
                 let pkt = Ipv4Packet::tcp(server, client, cfg.server_init_ttl, ident_s, seg);
                 Self::from_server(path, &mut cap, t_seg, pkt, cfg);
             }
@@ -401,13 +401,25 @@ impl FlowSimulator {
     /// Injected data racing the genuine response wins by arriving first
     /// with the expected sequence number — exactly how blockpage injection
     /// defeats the real server.
+    ///
+    /// The response head is parsed once: data only grows by appending, so
+    /// the first `\r\n\r\n` never moves once it has arrived, and neither
+    /// does the head before it. A malformed head therefore never yields a
+    /// response, and without a usable `Content-Length` the first complete
+    /// head is the response.
     fn assemble(cap: &Capture, cfg: &FlowConfig) -> FlowOutcome {
         use std::collections::BTreeMap;
         let stream_start = cfg.isn_server.wrapping_add(1);
-        // Out-of-order reassembly buffer keyed by offset into the stream.
-        let mut buffer: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
+        // Out-of-order reassembly buffer keyed by offset into the stream,
+        // borrowing the captured payloads.
+        let mut buffer: BTreeMap<u32, &[u8]> = BTreeMap::new();
         let mut contiguous: u32 = 0; // bytes assembled in order so far
         let mut data: Vec<u8> = Vec::new();
+        // `data` bytes already searched for the end of the head.
+        let mut searched = 0usize;
+        // Once the head has arrived: where the body starts, and the parsed
+        // head (`None` if malformed).
+        let mut head: Option<(usize, Option<HttpResponse>)> = None;
         let mut reset = false;
         for (_, seg) in cap.incoming_tcp() {
             if seg.flags.contains(TcpFlags::RST) {
@@ -427,31 +439,34 @@ impl FlowSimulator {
                 if off > 1 << 24 {
                     continue;
                 }
-                buffer.entry(off).or_insert_with(|| seg.payload.clone());
+                buffer.entry(off).or_insert(&seg.payload);
                 // Drain everything now contiguous; the first writer of a
                 // byte range wins, mirroring common client stacks (and
                 // letting injected data beat the real server's).
-                loop {
-                    let next = buffer
-                        .range(..=contiguous)
-                        .next_back()
-                        .map(|(o, p)| (*o, p.len() as u32));
-                    match next {
-                        Some((o, len)) if o.wrapping_add(len) > contiguous => {
-                            let skip = (contiguous - o) as usize;
-                            let chunk = buffer[&o][skip..].to_vec();
-                            data.extend_from_slice(&chunk);
-                            contiguous = o.wrapping_add(len);
-                        }
-                        _ => break,
+                while let Some((&o, p)) = buffer.range(..=contiguous).next_back() {
+                    let end = o.wrapping_add(p.len() as u32);
+                    if end <= contiguous {
+                        break;
                     }
+                    data.extend_from_slice(&p[(contiguous - o) as usize..]);
+                    contiguous = end;
                 }
-                if let Some(resp) = HttpResponse::parse(&data) {
-                    let want: usize = resp
-                        .header("Content-Length")
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(resp.body.len());
-                    if resp.body.len() >= want {
+                if head.is_none() {
+                    // A terminator may straddle the previous end of `data`.
+                    let from = searched.saturating_sub(3);
+                    if let Some(at) = crate::http::head_end(&data[from..]) {
+                        let split = from + at;
+                        head = Some((split + 4, HttpResponse::parse_head(&data[..split])));
+                    }
+                    searched = data.len();
+                }
+                if let Some((body_start, parsed)) = &mut head {
+                    let have = data.len() - *body_start;
+                    if let Some(mut resp) =
+                        parsed.take_if(|r| have >= r.content_length().unwrap_or(have))
+                    {
+                        data.drain(..*body_start);
+                        resp.body = data;
                         return FlowOutcome::HttpOk(resp);
                     }
                 }
@@ -681,5 +696,283 @@ mod tests {
             })
             .count();
         assert_eq!(gets, 2);
+    }
+
+    // --- Reassembly edge cases ----------------------------------------------
+
+    /// A capture of server → client segments at the given stream offsets,
+    /// in arrival order: `Some(bytes)` is a data segment, `None` an
+    /// in-window RST at that offset.
+    fn server_capture(cfg: &FlowConfig, segs: &[(u32, Option<&[u8]>)]) -> Capture {
+        let mut cap = Capture::new();
+        for (i, (off, payload)) in segs.iter().enumerate() {
+            let (flags, payload) = match payload {
+                Some(p) => (TcpFlags::PSH | TcpFlags::ACK, p.to_vec()),
+                None => (TcpFlags::RST, vec![]),
+            };
+            let seg = TcpSegment {
+                src_port: 80,
+                dst_port: cfg.client_port,
+                seq: cfg.isn_server.wrapping_add(1).wrapping_add(*off),
+                ack: 0,
+                flags,
+                window: 65535,
+                payload,
+            };
+            cap.push(100 * i as u64, Direction::In, Ipv4Packet::tcp(2, 1, 60, i as u16, seg));
+        }
+        cap
+    }
+
+    /// `wire` cut at `cuts` into in-order data segments.
+    fn in_order<'a>(wire: &'a [u8], cuts: &[usize]) -> Vec<(u32, Option<&'a [u8]>)> {
+        let mut bounds = vec![0];
+        bounds.extend_from_slice(cuts);
+        bounds.push(wire.len());
+        bounds.windows(2).map(|w| (w[0] as u32, Some(&wire[w[0]..w[1]]))).collect()
+    }
+
+    fn assemble_segments(segs: &[(u32, Option<&[u8]>)]) -> FlowOutcome {
+        let cfg = FlowConfig::default();
+        FlowSimulator::assemble(&server_capture(&cfg, segs), &cfg)
+    }
+
+    fn ok_body(outcome: FlowOutcome) -> Vec<u8> {
+        match outcome {
+            FlowOutcome::HttpOk(r) => r.body,
+            other => panic!("expected a response, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn content_length_spanning_segments_waits_for_the_whole_body() {
+        let wire = b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n0123456789";
+        // The header name, the blank line and the body are all split.
+        let cuts = [24, 38, 43, 47];
+        let segs = in_order(wire, &cuts);
+        for n in 1..segs.len() {
+            assert_eq!(assemble_segments(&segs[..n]), FlowOutcome::HttpTimeout, "{n} segments");
+        }
+        let FlowOutcome::HttpOk(r) = assemble_segments(&segs) else { panic!("incomplete") };
+        assert_eq!((r.status, r.reason.as_str()), (200, "OK"));
+        assert_eq!(r.headers, vec![("Content-Length".to_string(), "10".to_string())]);
+        assert_eq!(r.body, b"0123456789");
+    }
+
+    #[test]
+    fn body_past_content_length_is_kept_when_drained_together() {
+        // The second segment fills a hole and drains everything at once:
+        // the response carries every contiguous byte, not just the first
+        // Content-Length of them.
+        let wire = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nabcdef";
+        let segs = [(30, Some(&wire[30..])), (0, Some(&wire[..30]))];
+        assert_eq!(ok_body(assemble_segments(&segs)), b"abcdef");
+    }
+
+    #[test]
+    fn missing_content_length_completes_at_the_first_head() {
+        let wire = b"HTTP/1.1 200 OK\r\nX-Filler: yes\r\n\r\nabcd";
+        assert_eq!(ok_body(assemble_segments(&in_order(wire, &[36]))), b"ab");
+        // An unparseable length counts as missing.
+        let wire = b"HTTP/1.1 200 OK\r\nContent-Length: lots\r\n\r\nabcd";
+        assert_eq!(ok_body(assemble_segments(&in_order(wire, &[]))), b"abcd");
+        // A head with nothing after it is already complete.
+        let wire = b"HTTP/1.1 204 No Content\r\n\r\n";
+        assert_eq!(ok_body(assemble_segments(&in_order(wire, &[]))), b"");
+    }
+
+    #[test]
+    fn malformed_head_never_yields_a_response() {
+        for wire in [
+            &b"HTTX/1.1 200 OK\r\nContent-Length: 2\r\n\r\nab"[..],
+            b"HTTP/1.1 2xx OK\r\nContent-Length: 2\r\n\r\nab",
+            b"HTTP/1.1 99999 OK\r\n\r\nab",
+            b"HTTP/1.1 200 \xff\r\nContent-Length: 2\r\n\r\nab",
+            b"\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nab",
+        ] {
+            // Whole or byte by byte, and with a valid response following
+            // the malformed head: the first head decides, and it is bad.
+            let mut longer = wire.to_vec();
+            longer.extend_from_slice(b"HTTP/1.1 200 OK\r\n\r\n");
+            let bytewise: Vec<usize> = (1..longer.len()).collect();
+            for segs in [in_order(wire, &[]), in_order(&longer, &bytewise)] {
+                assert_eq!(assemble_segments(&segs), FlowOutcome::HttpTimeout, "{wire:?}");
+            }
+        }
+        // A reset after a malformed head is still a reset.
+        let wire = b"HTTX/1.1 200 OK\r\n\r\n";
+        let segs = [(0, Some(&wire[..])), (wire.len() as u32, None)];
+        assert_eq!(assemble_segments(&segs), FlowOutcome::HttpReset);
+    }
+
+    #[test]
+    fn head_terminator_straddling_a_segment_boundary() {
+        let wire = b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nxyz";
+        let end = wire.len() - 3; // just past the blank line
+        for cut in end - 4..=end {
+            let segs = in_order(wire, &[cut]);
+            assert_eq!(assemble_segments(&segs[..1]), FlowOutcome::HttpTimeout, "cut {cut}");
+            assert_eq!(ok_body(assemble_segments(&segs)), b"xyz", "cut {cut}");
+        }
+        // Terminator spread over four one-byte segments.
+        let segs = in_order(wire, &[end - 4, end - 3, end - 2, end - 1]);
+        assert_eq!(ok_body(assemble_segments(&segs)), b"xyz");
+    }
+
+    #[test]
+    fn injected_blockpage_wins_the_race_with_the_genuine_response() {
+        let genuine = HttpResponse::ok(&"real ".repeat(500)).serialize();
+        let page = HttpResponse::ok("<html>blocked</html>").serialize();
+        // Injected page first at offset 0: the genuine bytes at the same
+        // offsets lose, and the complete page is the response.
+        let mut segs = vec![(0, Some(&page[..]))];
+        segs.extend(in_order(&genuine, &[1200, 2400]));
+        assert_eq!(ok_body(assemble_segments(&segs)), b"<html>blocked</html>");
+        // A page whose Content-Length outruns its bytes waits for more.
+        // A genuine segment at an offset the page already claimed is
+        // dropped whole, so segment-aligned genuine data never completes
+        // it...
+        let mut lying = HttpResponse::ok("<html>blocked</html>");
+        lying.headers[1].1 = "30".to_string();
+        let lying = lying.serialize();
+        let mut segs = vec![(0, Some(&lying[..]))];
+        segs.extend(in_order(&genuine, &[1200, 2400]));
+        assert_eq!(assemble_segments(&segs), FlowOutcome::HttpTimeout);
+        // ...but one starting inside the page supplies the bytes past its
+        // end, and the response mixes the two.
+        let mut segs = vec![(0, Some(&lying[..]))];
+        segs.extend(in_order(&genuine, &[10, 1200, 2400]));
+        let body = ok_body(assemble_segments(&segs));
+        let mut want = b"<html>blocked</html>".to_vec();
+        want.extend_from_slice(&genuine[lying.len()..1200]);
+        assert_eq!(body, want);
+        // Genuine response first: the late injection changes nothing.
+        let mut segs = in_order(&genuine, &[1200, 2400]);
+        segs.push((0, Some(&page[..])));
+        assert_eq!(ok_body(assemble_segments(&segs)), &genuine[genuine.len() - 2500..]);
+    }
+
+    #[test]
+    fn organic_loss_then_retransmission_completes_the_genuine_body() {
+        let genuine = HttpResponse::ok(&"z".repeat(2500));
+        let wire = genuine.serialize();
+        let segs = in_order(&wire, &[400, 800, 1200, 1600, 2000, 2400]);
+        // Lose the fourth segment; it is retransmitted after the rest.
+        let mut arrived: Vec<_> = segs.iter().enumerate().filter(|(i, _)| *i != 3).map(|(_, s)| *s).collect();
+        assert_eq!(assemble_segments(&arrived), FlowOutcome::HttpTimeout, "gap must stall the body");
+        arrived.push(segs[3]);
+        assert_eq!(assemble_segments(&arrived), FlowOutcome::HttpOk(genuine.clone()));
+        // A reset while the gap is open aborts the fetch.
+        let mut reset = arrived[..arrived.len() - 1].to_vec();
+        reset.push((1200, None));
+        assert_eq!(assemble_segments(&reset), FlowOutcome::HttpReset);
+        // End to end through the simulator.
+        let cfg = FlowConfig { organic_loss: true, mss: 400, ..FlowConfig::default() };
+        let (_, outcome) =
+            FlowSimulator::http_get(&path(), &cfg, &HttpRequest::get("a.b", "/"), &genuine, &mut []);
+        assert_eq!(outcome, FlowOutcome::HttpOk(genuine));
+    }
+
+    /// The reassembler as it was before the head was parsed once: the
+    /// whole buffer re-parsed after every data segment. Kept as the
+    /// oracle for [`FlowSimulator::assemble`].
+    fn assemble_reparse(cap: &Capture, cfg: &FlowConfig) -> FlowOutcome {
+        use std::collections::BTreeMap;
+        let stream_start = cfg.isn_server.wrapping_add(1);
+        let mut buffer: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
+        let mut contiguous: u32 = 0;
+        let mut data: Vec<u8> = Vec::new();
+        let mut reset = false;
+        for (_, seg) in cap.incoming_tcp() {
+            if seg.flags.contains(TcpFlags::RST) {
+                let delta = seg.seq.wrapping_sub(stream_start.wrapping_add(contiguous));
+                if !(4096..=u32::MAX - 4096).contains(&delta) {
+                    reset = true;
+                    break;
+                }
+                continue;
+            }
+            if seg.has_data() {
+                let off = seg.seq.wrapping_sub(stream_start);
+                if off > 1 << 24 {
+                    continue;
+                }
+                buffer.entry(off).or_insert_with(|| seg.payload.clone());
+                loop {
+                    let next = buffer.range(..=contiguous).next_back().map(|(o, p)| (*o, p.len() as u32));
+                    match next {
+                        Some((o, len)) if o.wrapping_add(len) > contiguous => {
+                            let chunk = buffer[&o][(contiguous - o) as usize..].to_vec();
+                            data.extend_from_slice(&chunk);
+                            contiguous = o.wrapping_add(len);
+                        }
+                        _ => break,
+                    }
+                }
+                if let Some(resp) = HttpResponse::parse(&data) {
+                    let want = resp.content_length().unwrap_or(resp.body.len());
+                    if resp.body.len() >= want {
+                        return FlowOutcome::HttpOk(resp);
+                    }
+                }
+            }
+        }
+        if reset {
+            FlowOutcome::HttpReset
+        } else {
+            FlowOutcome::HttpTimeout
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2000))]
+        #[test]
+        fn prop_assemble_matches_reparsing_oracle(seed in proptest::prelude::any::<u64>()) {
+            use rand::Rng;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let body: Vec<u8> = (0..rng.gen_range(0..300)).map(|_| rng.gen()).collect();
+            let mut resp = HttpResponse::ok("");
+            resp.headers[1].1 = body.len().to_string();
+            resp.body = body;
+            match rng.gen_range(0..4) {
+                0 => {}
+                1 => resp.headers[1].1 = rng.gen_range(0..400usize).to_string(),
+                2 => resp.headers[1].1 = "unknown".to_string(),
+                _ => drop(resp.headers.pop()),
+            }
+            if rng.gen_bool(0.2) {
+                resp.reason = "\u{fffd}".repeat(rng.gen_range(0..2));
+                resp.status = 0;
+            }
+            let mut wire = resp.serialize();
+            if rng.gen_bool(0.15) {
+                wire[rng.gen_range(0..4)] = b'X'; // malformed version
+            }
+            // Segments: in-order pieces, shuffled a little, with injected
+            // racers at random offsets, duplicates and resets.
+            let mut cuts: Vec<usize> = (0..rng.gen_range(0..8)).map(|_| rng.gen_range(0..=wire.len())).collect();
+            cuts.sort();
+            let mut segs = in_order(&wire, &cuts);
+            let racer: Vec<u8> = (0..rng.gen_range(1..40)).map(|_| rng.gen()).collect();
+            let extra = rng.gen_range(0..4);
+            for _ in 0..extra {
+                let at = rng.gen_range(0..=segs.len());
+                let seg = match rng.gen_range(0..3) {
+                    0 => (rng.gen_range(0..wire.len() as u32 + 8), Some(&racer[..])),
+                    1 if !segs.is_empty() => segs[rng.gen_range(0..segs.len())],
+                    _ => (rng.gen_range(0..wire.len() as u32 + 8), None),
+                };
+                segs.insert(at, seg);
+            }
+            for _ in 0..rng.gen_range(0..3) {
+                if segs.len() > 1 {
+                    let i = rng.gen_range(0..segs.len() - 1);
+                    segs.swap(i, i + 1);
+                }
+            }
+            let cfg = FlowConfig::default();
+            let cap = server_capture(&cfg, &segs);
+            proptest::prop_assert_eq!(FlowSimulator::assemble(&cap, &cfg), assemble_reparse(&cap, &cfg));
+        }
     }
 }

@@ -94,9 +94,16 @@ impl HttpResponse {
     /// Parse from wire text (lenient; body is everything after the blank
     /// line).
     pub fn parse(data: &[u8]) -> Option<Self> {
-        let split = data.windows(4).position(|w| w == b"\r\n\r\n")?;
-        let head = std::str::from_utf8(&data[..split]).ok()?;
-        let body = data[split + 4..].to_vec();
+        let split = head_end(data)?;
+        let mut resp = Self::parse_head(&data[..split])?;
+        resp.body = data[split + 4..].to_vec();
+        Some(resp)
+    }
+
+    /// Parse a response head — the status line and headers, without the
+    /// blank line that ends them — into a response with an empty body.
+    pub(crate) fn parse_head(head: &[u8]) -> Option<Self> {
+        let head = std::str::from_utf8(head).ok()?;
         let mut lines = head.split("\r\n");
         let status_line = lines.next()?;
         let mut parts = status_line.splitn(3, ' ');
@@ -110,7 +117,12 @@ impl HttpResponse {
             .filter_map(|l| l.split_once(':'))
             .map(|(k, v)| (k.trim().to_string(), v.trim().to_string()))
             .collect();
-        Some(HttpResponse { status, reason, headers, body })
+        Some(HttpResponse { status, reason, headers, body: Vec::new() })
+    }
+
+    /// The `Content-Length` header's value, if present and a number.
+    pub(crate) fn content_length(&self) -> Option<usize> {
+        self.header("Content-Length").and_then(|v| v.parse().ok())
     }
 
     /// Body as text (lossy).
@@ -125,6 +137,11 @@ impl HttpResponse {
             .find(|(k, _)| k.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
+}
+
+/// Offset of the first `\r\n\r\n` — the blank line ending a message head.
+pub(crate) fn head_end(data: &[u8]) -> Option<usize> {
+    data.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
 #[cfg(test)]

@@ -73,7 +73,7 @@ pub fn detect_seqno(http_capture: &Capture) -> bool {
     let rel = |seq: u32| seq.wrapping_sub(stream_start);
 
     // Collect incoming data segments as relative ranges.
-    let mut segments: Vec<(u32, Vec<u8>)> = Vec::new();
+    let mut segments: Vec<(u32, &[u8])> = Vec::new();
     let mut rsts: Vec<u32> = Vec::new();
     for (_, seg) in http_capture.incoming_tcp() {
         if seg.flags.contains(TcpFlags::RST) {
@@ -81,7 +81,7 @@ pub fn detect_seqno(http_capture: &Capture) -> bool {
         } else if seg.has_data() {
             let off = rel(seg.seq);
             if off < 1 << 24 {
-                segments.push((off, seg.payload.clone()));
+                segments.push((off, &seg.payload));
             }
         }
     }
@@ -150,44 +150,120 @@ pub fn detect_reset(http_capture: &Capture) -> bool {
         .any(|(_, s)| s.flags.contains(TcpFlags::RST))
 }
 
+/// The blockpage fingerprint matcher: every signature of an OONI-style
+/// fingerprint list, searched for at once in raw payload bytes.
+///
+/// Signatures must be non-empty ASCII (asserted at construction). For an
+/// ASCII needle a match on the raw bytes is exactly a match on their
+/// lossy UTF-8 decoding: ASCII bytes decode to themselves and every other
+/// byte decodes to non-ASCII text, so the detector needs no decoding.
+///
+/// The scan reads 8 bytes at a time and tests the word for any
+/// signature's first byte with a SWAR zero-byte test; only words holding
+/// one are looked at byte by byte, and each candidate position is
+/// confirmed with `starts_with`. On HTML pages, whose text rarely holds a
+/// signature's first byte, almost every word is rejected in a few
+/// instructions.
+#[derive(Debug)]
+pub struct BlockpageMatcher {
+    signatures: Vec<Box<[u8]>>,
+    /// Each distinct first byte, repeated in all 8 lanes of a word.
+    first_words: Vec<u64>,
+    /// Whether a byte starts some signature.
+    is_first: [bool; 256],
+}
+
+impl BlockpageMatcher {
+    /// A matcher over `fingerprints` (see
+    /// `churnlab_censor::blockpage::fingerprint_list`).
+    ///
+    /// # Panics
+    ///
+    /// If a signature is empty or not ASCII.
+    pub fn new(fingerprints: &[&str]) -> Self {
+        let mut is_first = [false; 256];
+        let mut first_words = Vec::new();
+        for f in fingerprints {
+            assert!(
+                !f.is_empty() && f.is_ascii(),
+                "blockpage signature {f:?} must be non-empty ASCII"
+            );
+            let b = f.as_bytes()[0];
+            if !is_first[usize::from(b)] {
+                is_first[usize::from(b)] = true;
+                first_words.push(u64::from(b) * LANES_LO);
+            }
+        }
+        let signatures = fingerprints.iter().map(|f| f.as_bytes().into()).collect();
+        BlockpageMatcher { signatures, first_words, is_first }
+    }
+
+    /// Whether any signature occurs in `payload`.
+    pub fn is_match(&self, payload: &[u8]) -> bool {
+        let mut at = 0;
+        for word in payload.chunks_exact(8) {
+            let w = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+            let hits = self.first_words.iter().fold(0, |m, &f| m | zero_bytes(w ^ f));
+            if hits != 0 && self.match_starts_in(payload, at..at + 8) {
+                return true;
+            }
+            at += 8;
+        }
+        // The unaligned tail, byte by byte.
+        self.match_starts_in(payload, at..payload.len())
+    }
+
+    /// Whether a signature starts at a position in `starts`.
+    fn match_starts_in(&self, payload: &[u8], starts: std::ops::Range<usize>) -> bool {
+        starts.into_iter().any(|i| {
+            self.is_first[usize::from(payload[i])]
+                && self.signatures.iter().any(|s| payload[i..].starts_with(s))
+        })
+    }
+}
+
+/// `0x01` in every byte lane.
+const LANES_LO: u64 = 0x0101_0101_0101_0101;
+
+/// Nonzero iff some byte of `w` is zero (the borrow trick can flag lanes
+/// above a zero byte too, but never flags a word without one).
+#[inline]
+fn zero_bytes(w: u64) -> u64 {
+    w.wrapping_sub(LANES_LO) & !w & (LANES_LO << 7)
+}
+
+/// Whether `body` contains `<html`, ignoring ASCII case — the same answer
+/// as lowercasing its lossy decoding, without the two copies.
+fn has_html_tag(body: &[u8]) -> bool {
+    body.windows(5).any(|w| w.eq_ignore_ascii_case(b"<html"))
+}
+
 /// Detect blockpages: fingerprint scan over every received TCP payload
 /// (ICLab analyses raw captures, so a blockpage that lost the reassembly
 /// race — or arrived after an injected RST — is still visible), plus the
 /// Jones-et-al length heuristic against the censor-free US control body
 /// for pages the fingerprint list does not know.
+///
+/// Each segment is scanned on its own: a signature split across two
+/// segments does not match. Allocation-free.
 pub fn detect_block(
     http_capture: &Capture,
     outcome: &FlowOutcome,
-    fingerprints: &[&str],
+    blockpages: &BlockpageMatcher,
     control_body: Option<&[u8]>,
 ) -> bool {
     // Raw-capture fingerprint scan.
-    for (_, seg) in http_capture.incoming_tcp() {
-        if !seg.has_data() {
-            continue;
-        }
-        let text = String::from_utf8_lossy(&seg.payload);
-        if fingerprints.iter().any(|f| text.contains(f)) {
-            return true;
-        }
+    if http_capture.incoming_tcp().any(|(_, seg)| blockpages.is_match(&seg.payload)) {
+        return true;
     }
     // Length heuristic on what the browser actually assembled.
-    let resp = match outcome {
-        FlowOutcome::HttpOk(r) => r,
-        _ => return false,
+    let (FlowOutcome::HttpOk(resp), Some(control)) = (outcome, control_body) else {
+        return false;
     };
-    let body = resp.body_text();
-    if let Some(control) = control_body {
-        // Jones et al.: blockpages differ starkly in length from the real
-        // page. Flag HTML bodies under 30% / over 333% of the control size.
-        let got = resp.body.len() as f64;
-        let want = control.len().max(1) as f64;
-        let ratio = got / want;
-        if !(0.30..=3.33).contains(&ratio) && body.to_ascii_lowercase().contains("<html") {
-            return true;
-        }
-    }
-    false
+    // Jones et al.: blockpages differ starkly in length from the real
+    // page. Flag HTML bodies under 30% / over 333% of the control size.
+    let ratio = resp.body.len() as f64 / control.len().max(1) as f64;
+    !(0.30..=3.33).contains(&ratio) && has_html_tag(&resp.body)
 }
 
 /// Run all five detectors over one measurement's artifacts.
@@ -195,7 +271,7 @@ pub fn detect_all(
     dns_capture: &Capture,
     http_capture: &Capture,
     http_outcome: &FlowOutcome,
-    fingerprints: &[&str],
+    blockpages: &BlockpageMatcher,
     control_body: Option<&[u8]>,
 ) -> AnomalySet {
     let mut set = AnomalySet::empty();
@@ -211,7 +287,7 @@ pub fn detect_all(
     if detect_reset(http_capture) {
         set.insert(AnomalyType::Reset);
     }
-    if detect_block(http_capture, http_outcome, fingerprints, control_body) {
+    if detect_block(http_capture, http_outcome, blockpages, control_body) {
         set.insert(AnomalyType::Block);
     }
     set
@@ -231,6 +307,10 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::HashMap;
+
+    fn fingerprints() -> BlockpageMatcher {
+        BlockpageMatcher::new(&churnlab_censor::blockpage::fingerprint_list())
+    }
 
     fn path() -> HopPath {
         let asns = [Asn(10), Asn(20), Asn(30), Asn(40)];
@@ -283,7 +363,7 @@ mod tests {
             &Capture::new(),
             &cap,
             &outcome,
-            &churnlab_censor::blockpage::fingerprint_list(),
+            &fingerprints(),
             Some(&real.serialize()),
         );
         assert!(set.is_empty(), "clean flow flagged: {set}");
@@ -303,7 +383,7 @@ mod tests {
         assert!(detect_reset(&cap));
         assert!(!detect_ttl(&cap), "server's own RST has the right TTL");
         assert!(!detect_seqno(&cap), "server's own RST has the right seq");
-        assert!(!detect_block(&cap, &outcome, &[], Some(&real.serialize())));
+        assert!(!detect_block(&cap, &outcome, &BlockpageMatcher::new(&[]), Some(&real.serialize())));
     }
 
     #[test]
@@ -336,7 +416,7 @@ mod tests {
         let profile = MechanismProfile { blockpage_id: 0, ..Default::default() };
         let c = censor(vec![Mechanism::Blockpage], profile);
         let (cap, outcome, real) = run_http(Some(&c), "bad.example", &FlowConfig::default());
-        let fps = churnlab_censor::blockpage::fingerprint_list();
+        let fps = fingerprints();
         assert!(detect_block(&cap, &outcome, &fps, Some(&real.serialize())));
         // The page arrives from the censor's position: TTL anomaly too
         // (matching the paper's UK "Block, TTL" pattern).
@@ -349,7 +429,7 @@ mod tests {
         let profile = MechanismProfile { blockpage_id: 4, ..Default::default() };
         let c = censor(vec![Mechanism::Blockpage], profile);
         let (cap, outcome, real) = run_http(Some(&c), "bad.example", &FlowConfig::default());
-        let fps = churnlab_censor::blockpage::fingerprint_list();
+        let fps = fingerprints();
         assert!(
             detect_block(&cap, &outcome, &fps, Some(&real.body)),
             "length heuristic should catch the stealth blockpage"
@@ -375,7 +455,7 @@ mod tests {
             &Capture::new(),
             &cap,
             &outcome,
-            &churnlab_censor::blockpage::fingerprint_list(),
+            &fingerprints(),
             Some(&real.serialize()),
         );
         assert!(set.is_empty(), "uncensored domain flagged: {set}");
@@ -405,5 +485,169 @@ mod tests {
         let (cap, _) =
             FlowSimulator::dns_lookup(&p, &FlowConfig::default(), &q, Some(&honest), &mut []);
         assert!(!detect_dns(&cap));
+    }
+
+    // --- Blockpage matcher vs. the lossy-decode rule -------------------------
+
+    /// The rule the matcher replaced, kept as its oracle: decode each
+    /// payload lossily and search it for each fingerprint.
+    fn lossy_rule(payload: &[u8], fingerprints: &[&str]) -> bool {
+        let text = String::from_utf8_lossy(payload);
+        fingerprints.iter().any(|f| text.contains(f))
+    }
+
+    /// A capture of one in-order data segment per payload.
+    fn data_capture(payloads: &[&[u8]]) -> Capture {
+        let mut cap = Capture::new();
+        for (i, p) in payloads.iter().enumerate() {
+            let seg = churnlab_net::TcpSegment {
+                src_port: 80,
+                dst_port: 40000,
+                seq: 1000 * i as u32,
+                ack: 0,
+                flags: TcpFlags::PSH | TcpFlags::ACK,
+                window: 65535,
+                payload: p.to_vec(),
+            };
+            let pkt = churnlab_net::Ipv4Packet::tcp(2, 1, 60, i as u16, seg);
+            cap.push(i as u64, churnlab_net::Direction::In, pkt);
+        }
+        cap
+    }
+
+    /// Random filler biased toward the bytes that matter: signature
+    /// letters, bytes ≥ 0x80 (invalid UTF-8 on their own) and valid
+    /// multi-byte characters.
+    fn filler(rng: &mut StdRng, len: usize) -> Vec<u8> {
+        use rand::Rng;
+        let mut out = Vec::with_capacity(len + 3);
+        while out.len() < len {
+            match rng.gen_range(0..5) {
+                0 => out.push(rng.gen()),
+                1 => out.push(rng.gen_range(0x80..=0xff)),
+                2 => out.extend_from_slice("é".as_bytes()),
+                3 => out.push(b"TABSthis "[rng.gen_range(0..9)]),
+                _ => out.push(rng.gen_range(b'a'..=b'z')),
+            }
+        }
+        out.truncate(len);
+        out
+    }
+
+    #[test]
+    fn signature_found_at_every_offset_including_the_unaligned_tail() {
+        let fps = churnlab_censor::blockpage::fingerprint_list();
+        let m = BlockpageMatcher::new(&fps);
+        for sig in &fps {
+            let sig = sig.as_bytes();
+            for len in sig.len()..sig.len() + 24 {
+                for at in 0..=len - sig.len() {
+                    let mut payload = vec![0xffu8; len];
+                    payload[at..at + sig.len()].copy_from_slice(sig);
+                    assert!(m.is_match(&payload), "len {len} at {at}");
+                    // One byte short of the signature is no match.
+                    payload[at + sig.len() - 1] ^= 0x20;
+                    assert!(!m.is_match(&payload), "near miss len {len} at {at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn signature_split_across_segments_does_not_match() {
+        let fps = churnlab_censor::blockpage::fingerprint_list();
+        let m = BlockpageMatcher::new(&fps);
+        let sig = fps[0].as_bytes();
+        let timeout = FlowOutcome::HttpTimeout;
+        assert!(detect_block(&data_capture(&[b"xx", sig]), &timeout, &m, None));
+        for cut in 1..sig.len() {
+            let cap = data_capture(&[&sig[..cut], &sig[cut..]]);
+            assert!(!detect_block(&cap, &timeout, &m, None), "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn empty_fingerprint_list_never_matches() {
+        let m = BlockpageMatcher::new(&[]);
+        let fps = churnlab_censor::blockpage::fingerprint_list();
+        let everything: Vec<u8> = fps.iter().flat_map(|f| f.bytes()).chain(0..=255).collect();
+        assert!(!m.is_match(&everything));
+        assert!(!m.is_match(b""));
+    }
+
+    #[test]
+    #[should_panic(expected = "must be non-empty ASCII")]
+    fn non_ascii_signature_panics_at_construction() {
+        BlockpageMatcher::new(&["Bu siteye erişim engellenmiştir"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be non-empty ASCII")]
+    fn empty_signature_panics_at_construction() {
+        BlockpageMatcher::new(&["Blocked", ""]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1000))]
+
+        #[test]
+        fn prop_matcher_agrees_with_lossy_rule(seed in proptest::prelude::any::<u64>()) {
+            use rand::Rng;
+            let mut rng = StdRng::seed_from_u64(seed);
+            // The real list, or random ASCII signatures that share first
+            // bytes with each other and with the filler.
+            let random: Vec<String> = (0..rng.gen_range(0..5))
+                .map(|_| {
+                    let n = rng.gen_range(1..12);
+                    (0..n).map(|_| b"TABSthis <"[rng.gen_range(0..10)] as char).collect()
+                })
+                .collect();
+            let fps: Vec<&str> = if rng.gen_bool(0.5) {
+                churnlab_censor::blockpage::fingerprint_list()
+            } else {
+                random.iter().map(String::as_str).collect()
+            };
+            let m = BlockpageMatcher::new(&fps);
+            let mut payloads: Vec<Vec<u8>> = Vec::new();
+            for _ in 0..rng.gen_range(1..4) {
+                let len = rng.gen_range(0..200);
+                let mut p = filler(&mut rng, len);
+                if !fps.is_empty() && rng.gen_bool(0.5) {
+                    // Plant a signature, whole or cut short, anywhere,
+                    // with non-ASCII bytes right against it.
+                    let sig = fps[rng.gen_range(0..fps.len())].as_bytes();
+                    let keep = if rng.gen_bool(0.7) { sig.len() } else { rng.gen_range(0..sig.len()) };
+                    let at = rng.gen_range(0..=p.len());
+                    let mut planted = vec![0xc3];
+                    planted.extend_from_slice(&sig[..keep]);
+                    planted.push(0xa9);
+                    p.splice(at..at, planted);
+                }
+                proptest::prop_assert_eq!(m.is_match(&p), lossy_rule(&p, &fps), "{:?} in {:?}", fps, p);
+                payloads.push(p);
+            }
+            let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+            let per_segment = refs.iter().any(|p| lossy_rule(p, &fps));
+            let cap = data_capture(&refs);
+            proptest::prop_assert_eq!(detect_block(&cap, &FlowOutcome::HttpTimeout, &m, None), per_segment);
+        }
+
+        #[test]
+        fn prop_html_probe_agrees_with_lowercased_lossy_text(seed in proptest::prelude::any::<u64>()) {
+            use rand::Rng;
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Tag spellings, stray bytes ≥ 0x80, and non-ASCII letters
+            // (Kelvin sign, dotless i) that only Unicode case folding
+            // would take for ASCII.
+            const PIECES: [&[u8]; 12] = [
+                b"<html", b"<HTML", b"<HtMl", b"<htm", b"html", b"<", b"\xff", b"\xc3",
+                "é".as_bytes(), "\u{212a}".as_bytes(), "ı".as_bytes(), b"<h\xe2\x80tml",
+            ];
+            let body: Vec<u8> = (0..rng.gen_range(0..12))
+                .flat_map(|_| PIECES[rng.gen_range(0..PIECES.len())].iter().copied())
+                .collect();
+            let old = String::from_utf8_lossy(&body).to_ascii_lowercase().contains("<html");
+            proptest::prop_assert_eq!(has_html_tag(&body), old, "{:?}", body);
+        }
     }
 }

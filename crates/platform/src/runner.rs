@@ -23,7 +23,7 @@
 //! `FnMut` sink, which the batch `Pipeline`'s `&mut` ingest needs.
 
 use crate::anomaly::{AnomalySet, AnomalyType};
-use crate::detect;
+use crate::detect::{self, BlockpageMatcher};
 use crate::measurement::{Measurement, TracerouteRecord};
 use crate::noise::NoiseConfig;
 use crate::schedule::FleetSchedule;
@@ -252,7 +252,10 @@ pub struct Platform<'w> {
     corpus: UrlCorpus,
     vantage: Vec<VantagePoint>,
     compiled: HashMap<Asn, CompiledCensor>,
-    fingerprints: Vec<&'static str>,
+    blockpages: BlockpageMatcher,
+    /// Each URL's genuine response, by URL id: built once, sent by the
+    /// server and used as the detector's control body on every test.
+    genuine: Vec<HttpResponse>,
     measured_ip2as: Ip2AsDb,
 }
 
@@ -309,7 +312,10 @@ impl<'w> Platform<'w> {
         // the staleness noise model).
         let measured_ip2as =
             world.registry_ip2as().degraded(cfg.noise.ip2as, &all_asns, &mut db_rng);
-        let platform = Platform { world, cfg, corpus, vantage, compiled, fingerprints: churnlab_censor::blockpage::fingerprint_list(), measured_ip2as };
+        let blockpages = BlockpageMatcher::new(&churnlab_censor::blockpage::fingerprint_list());
+        let genuine = corpus.entries().iter().map(|u| HttpResponse::ok(&u.body())).collect();
+        let platform =
+            Platform { world, cfg, corpus, vantage, compiled, blockpages, genuine, measured_ip2as };
         // A sampling schedule must honor its configured coverage floor.
         // The rotation's per-pair pick count is exact (see [`crate::schedule`]),
         // so this is a static check at assembly time, not a runtime hope.
@@ -591,20 +597,19 @@ impl<'w> Platform<'w> {
 
         // --- HTTP test ----------------------------------------------------
         let request = HttpRequest::get(&url.domain, &url.path);
-        let genuine_body = url.body();
-        let genuine = HttpResponse::ok(&genuine_body);
+        let genuine = &self.genuine[url_id as usize];
         let mut observers: Vec<(usize, &mut dyn OnPathObserver)> =
             armed.iter_mut().map(|(p, c)| (*p, c as &mut dyn OnPathObserver)).collect();
         let (http_cap, outcome) =
-            FlowSimulator::http_get(&hop_path, &flow_cfg, &request, &genuine, &mut observers);
+            FlowSimulator::http_get(&hop_path, &flow_cfg, &request, genuine, &mut observers);
 
         // --- Detection -----------------------------------------------------
         let mut detected = detect::detect_all(
             &dns_cap,
             &http_cap,
             &outcome,
-            &self.fingerprints,
-            Some(genuine_body.as_bytes()),
+            &self.blockpages,
+            Some(&genuine.body),
         );
         // Detector noise. Real detector failures are *systematic* — a
         // vantage whose capture setup mangles TTLs mangles them every time;
